@@ -27,6 +27,11 @@ from .identity import TWO_PI, BesselProductSpec
 #: nodes_per_panel admissible range
 _NODES_RANGE = (8, 64)
 
+#: Gauss-Legendre (nodes, weights) for the node counts the defaults use:
+#: 16 and 8 in the integrals, 32 in the correction term.  Other counts are
+#: built on the call.
+_GAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (4, 8, 16, 32)}
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -54,18 +59,29 @@ def _require_integrable(spec: BesselProductSpec) -> None:
         raise InvalidSpec(f"integral does not exist: {reason}")
 
 
-def _panel_quad(fun, lo: float, hi: float, width: float, nodes: int) -> tuple[float, int]:
-    """Fixed-order Gauss-Legendre on equal panels of at most `width`,
+def _panel_quad(fun, edges: np.ndarray, nodes: int) -> float:
+    """Fixed-order Gauss-Legendre on the panels between consecutive edges,
     panel results reduced in ascending order."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    n_panels = max(1, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
+    x, w = _GAUSS[nodes] if nodes in _GAUSS else np.polynomial.legendre.leggauss(nodes)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = fun(ts).reshape(n_panels, nodes)
-    panel_sums = (vals * w[None, :]).sum(axis=1) * half
-    return math.fsum(panel_sums), n_panels
+    vals = fun(ts).reshape(len(mid), nodes)
+    return math.fsum((vals * w[None, :]).sum(axis=1) * half)
+
+
+def _equal_panels(t_max, width: float, nodes_per_panel: int) -> np.ndarray:
+    """Edges of equal panels of at most `width` over [0, t_max], after
+    checking the arguments every panel quadrature of [0, t_max] shares."""
+    if not _NODES_RANGE[0] <= nodes_per_panel <= _NODES_RANGE[1]:
+        raise ConfigError(
+            f"nodes_per_panel must lie in {_NODES_RANGE}, got {nodes_per_panel}"
+        )
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ConfigError(f"t_max must be positive and finite, got {t_max}")
+    t_max = float(t_max)
+    n_panels = max(1, int(math.ceil(t_max / width)))
+    return np.linspace(0.0, t_max, n_panels + 1)
 
 
 def tail_bound(spec: BesselProductSpec, t_max: float) -> tuple[float, bool]:
@@ -114,21 +130,15 @@ def integrate(
     sum(a) > 2*pi are integrable as long as the t -> 0 limit exists and
     lam > -N/2 (strict form with a zero beat).
     """
-    if not _NODES_RANGE[0] <= nodes_per_panel <= _NODES_RANGE[1]:
-        raise ConfigError(
-            f"nodes_per_panel must lie in {_NODES_RANGE}, got {nodes_per_panel}"
-        )
-    if not t_max > 0:
-        raise ConfigError(f"t_max must be positive, got {t_max}")
+    edges = _equal_panels(t_max, math.pi / spec.sum_scales, nodes_per_panel)
     _require_integrable(spec)
-    width = math.pi / spec.sum_scales
     fun = lambda ts: identity.integrand_array(spec, ts)
-    value, n_panels = _panel_quad(fun, 0.0, float(t_max), width, nodes_per_panel)
-    coarse, _ = _panel_quad(fun, 0.0, float(t_max), width, max(nodes_per_panel // 2, 4))
+    value = _panel_quad(fun, edges, nodes_per_panel)
+    coarse = _panel_quad(fun, edges, max(nodes_per_panel // 2, 4))
     tail, flagged = tail_bound(spec, float(t_max))
     return QuadratureResult(
         value=value,
-        panels=n_panels,
+        panels=len(edges) - 1,
         t_max=float(t_max),
         error_estimate=abs(value - coarse) + tail,
         tail_flagged=flagged,
@@ -141,12 +151,13 @@ def integrate_power_product(
     """Quadrature of t^(-lam) prod J_{nu_j}(a_j t) for general lam.
 
     Returns (value, node-halving difference).  Used by the odd-parity
-    closure checks; the t -> 0 limit must exist.
+    closure checks; the t -> 0 limit must exist.  t_max and nodes_per_panel
+    are checked as in ``integrate``.
     """
-    width = math.pi / math.fsum(scales)
+    edges = _equal_panels(t_max, math.pi / math.fsum(scales), nodes_per_panel)
     fun = lambda ts: identity.power_product_array(nus, scales, lam, ts)
-    value, _ = _panel_quad(fun, 0.0, float(t_max), width, nodes_per_panel)
-    coarse, _ = _panel_quad(fun, 0.0, float(t_max), width, max(nodes_per_panel // 2, 4))
+    value = _panel_quad(fun, edges, nodes_per_panel)
+    coarse = _panel_quad(fun, edges, max(nodes_per_panel // 2, 4))
     return value, abs(value - coarse)
 
 
@@ -176,13 +187,7 @@ def _correction_quad(nus, scales, lam: float, y_max: float, nodes: int) -> float
     u = np.linspace(0.0, 1.0, n_panels + 1)
     edges = y_max * u * u
     edges[0] = min(1e-12, edges[1] / 2 if len(edges) > 1 else 1e-12)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ys = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = g(ys).reshape(n_panels, nodes)
-    integral = math.fsum((vals * w[None, :]).sum(axis=1) * half)
-    return -2.0 * parity * integral
+    return -2.0 * parity * _panel_quad(g, edges, nodes)
 
 
 def correction_term(spec: BesselProductSpec, y_max: float = 20.0) -> float:
@@ -193,8 +198,8 @@ def correction_term(spec: BesselProductSpec, y_max: float = 20.0) -> float:
     must vanish (to roundoff of the parity sine); a nonzero value flags a
     broken phase convention.
     """
-    if y_max < 0:
-        raise ConfigError(f"y_max must be non-negative, got {y_max}")
+    if not (y_max >= 0 and math.isfinite(y_max)):
+        raise ConfigError(f"y_max must be non-negative and finite, got {y_max}")
     if y_max == 0:
         return 0.0
     if spec.sum_scales >= TWO_PI * (1.0 - 1e-12):
@@ -210,6 +215,8 @@ def correction_term_power_product(
     nus, scales, lam: float, y_max: float = 20.0, nodes: int = 32
 ) -> float:
     """Correction integral for general lam (odd-parity closure checks)."""
+    if not math.isfinite(y_max):
+        raise ConfigError(f"y_max must be finite, got {y_max}")
     if math.fsum(scales) >= TWO_PI * (1.0 - 1e-12):
         raise DampingError("sum of scales must be < 2*pi")
     if y_max <= 0:

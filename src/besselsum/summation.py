@@ -193,7 +193,8 @@ def evaluate(
     must be given.  Specs with sum of scales beyond 2*pi are rescaled first
     and the result carries the prefactor A^(sum(nu)-1-2k).  Conditional-class
     specs are accelerated unless disabled; the error bound is then the last
-    averaging increment instead of the a priori power law.
+    averaging increment instead of the a priori power law.  A fixed
+    truncation below 10 terms reports error_bound = inf: no bound available.
     """
     if (terms is None) == (tol is None):
         raise InvalidSpec("exactly one of terms= or tol= must be given")
@@ -234,7 +235,8 @@ def evaluate(
             value, err = acc
             accelerated = True
     if err is None:
-        err = truncation_bound(work, max(m_used, 10))
+        # the envelope analysis starts at 10 terms; below that there is no bound
+        err = truncation_bound(work, m_used) if m_used >= 10 else math.inf
 
     if tol is not None and err * abs(prefactor) > tol:
         raise ToleranceUnreachable(

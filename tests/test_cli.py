@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from besselsum import cli
+from besselsum import cli, identity
 from besselsum.cli import CliError, main, parse_number, read_sweep_csv
 
 PI = math.pi
@@ -63,6 +63,12 @@ class TestCompute:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rescaled"] is True
+
+    def test_terms_below_ten_report_no_bound(self, capsys):
+        rc = main(["compute", "--nu", "0.5", "--a", "2.0", "--terms", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "error_bound = inf" in out
 
     def test_invalid_spec_exit_2(self, capsys):
         rc = main(["compute", "--nu", "0.0", "--a", "1.0", "--k", "1"])
@@ -153,6 +159,21 @@ class TestSweep:
             assert parsed.quad_value == direct.quad_value
             assert parsed.abs_diff == abs(parsed.sum_value - parsed.quad_value)
 
+    def test_many_b_rows_equal_single_b_calls(self):
+        # reproduce_sweeps.py sweeps many b per call, the benchmark one b per
+        # call; both shapes must give the same rows bit for bit
+        template = identity.make_spec(2, [0.0, 1.0, 2.0], [3 * PI / 16, 3 * PI / 16, 1.0])
+        bs = [0.4, 1.9, 3.3, 5.0, 5.6]  # the last lies past b* = 5.105
+        many = cli.run_sweep(template, 2, bs, terms=10, t_max=10.0).rows
+        singles = [cli.run_sweep(template, 2, [b], terms=10, t_max=10.0).rows[0] for b in bs]
+        assert not many[-1].valid
+
+        def bits(row):
+            return (row.b.hex(), row.sum_value.hex(), row.quad_value.hex(),
+                    row.abs_diff.hex(), row.valid, row.klass)
+
+        assert [bits(r) for r in many] == [bits(r) for r in singles]
+
     def test_rows_sorted_by_b(self, tmp_path):
         _, out = self.run_sweep(tmp_path, rng="6.0:0.1:5")  # descending input
         with open(out) as fh:
@@ -234,6 +255,13 @@ class TestCompare:
     def test_invalid_even_after_rescale_exit_2(self, capsys):
         rc = main(["compare", "--nu", "0.0", "--a", "1.0", "--k", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "-5"])
+    def test_bad_t_max_is_oracle_failure_exit_2(self, capsys, t_max):
+        rc = main(["compare", "--nu", "0.5,1.5", "--a", "0.3,1.0", f"--t-max={t_max}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "quadrature oracle failed" in err and "internal error" not in err
 
 
 def test_help_via_subprocess():

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from besselsum import identity, quadrature, summation
+from besselsum import identity, quadrature, specfun, summation
 from besselsum.errors import ConfigError, DampingError, InvalidSpec
 from besselsum.identity import make_spec
 from besselsum.quadrature import (
@@ -74,6 +75,17 @@ class TestIntegrate:
         for bad in (4, 65, 0):
             with pytest.raises(ConfigError):
                 integrate(spec, 10.0, bad)
+
+    @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, 0.0, -5.0])
+    def test_t_max_must_be_positive_and_finite(self, t_max):
+        with pytest.raises(ConfigError):
+            integrate(make_spec(0, [0.5, 1.5], [PI / 16, 1.0]), t_max)
+
+    @pytest.mark.parametrize("t_max, nodes", [(math.inf, 16), (math.nan, 16), (-5.0, 16),
+                                              (10.0, 200), (10.0, 4)])
+    def test_power_product_checks_like_integrate(self, t_max, nodes):
+        with pytest.raises(ConfigError):
+            integrate_power_product((1.5, 1.5), (1.0, 0.7), 2.0, t_max, nodes)
 
     def test_rejects_divergent_integrand(self):
         with pytest.raises(InvalidSpec):
@@ -156,6 +168,17 @@ class TestCorrectionTerm:
         spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
         assert correction_term(spec, y_max=0.0) == 0.0
 
+    @pytest.mark.parametrize("y_max", [math.inf, math.nan, -1.0])
+    def test_y_max_must_be_finite(self, y_max):
+        spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
+        with pytest.raises(ConfigError):
+            correction_term(spec, y_max=y_max)
+
+    @pytest.mark.parametrize("y_max", [math.inf, math.nan])
+    def test_power_product_y_max_must_be_finite(self, y_max):
+        with pytest.raises(ConfigError):
+            correction_term_power_product((1.5, 1.5), (1.0, 0.7), 2.0, y_max)
+
     def test_damping_required(self):
         with pytest.raises(DampingError):
             correction_term(make_spec(0, [1.5, 1.5], [PI, PI]))
@@ -174,6 +197,79 @@ class TestCorrectionTerm:
         # value must be negative here: positive integrand, odd parity sine +1
         corr = correction_term_power_product((1.5, 1.5), (1.0, 0.7), 2.0)
         assert corr < 0
+
+
+def _reference_panel_quad(fun, edges, nodes):
+    """Plain panel Gauss-Legendre from a freshly built rule: per-panel sums,
+    reduced in ascending order by fsum."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = fun((mid[:, None] + half[:, None] * x[None, :]).ravel())
+    return math.fsum((vals.reshape(len(mid), nodes) * w[None, :]).sum(axis=1) * half)
+
+
+def _reference_integrate(spec, t_max, nodes):
+    edges = np.linspace(0.0, t_max, max(1, math.ceil(t_max / (PI / spec.sum_scales))) + 1)
+    fun = lambda ts: identity.integrand_array(spec, ts)
+    return _reference_panel_quad(fun, edges, nodes), _reference_panel_quad(fun, edges, nodes // 2)
+
+
+def _reference_correction(nus, scales, lam, y_max=20.0, nodes=32):
+    damp = math.fsum(scales) - 2 * PI
+
+    def g(y):
+        out = y ** (-lam) if lam != 0 else np.ones_like(y)
+        for nu, a in zip(nus, scales):
+            out = out * specfun.ive_array(nu, a * y)
+        return out * np.exp(damp * y) / (1.0 - np.exp(-2 * PI * y))
+
+    u = np.linspace(0.0, 1.0, max(32, int(8 * math.sqrt(y_max))) + 1)
+    edges = y_max * u * u
+    edges[0] = min(1e-12, edges[1] / 2)
+    parity = math.sin(PI * (math.fsum(nus) - lam) / 2.0)
+    return -2.0 * parity * _reference_panel_quad(g, edges, nodes)
+
+
+#: one spec from each demonstration panel, last scale inside the valid range
+PANEL_SPECS = [
+    make_spec(0, [0.5, 1.5], [PI / 16, 3.0]),
+    make_spec(2, [0.0, 1.0, 2.0], [3 * PI / 16, 3 * PI / 16, 2.0]),
+    make_spec(-1, [-1.5, -1.0, 0.5, 0.0], [5 * PI / 16] * 3 + [1.5]),
+]
+
+
+class TestGaussRules:
+    def test_tabulated_rules_are_leggauss(self):
+        assert set(quadrature._GAUSS) >= {8, 16, 32}
+        for n, (x, w) in quadrature._GAUSS.items():
+            fresh_x, fresh_w = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
+
+    def test_untabulated_node_count(self):
+        assert 12 not in quadrature._GAUSS
+        spec = make_spec(0, [1.5, 1.5], [1.0, 0.7])
+        fine, coarse = _reference_integrate(spec, 100.0, 12)
+        q = integrate(spec, 100.0, 12)
+        assert q.value == fine
+        assert q.error_estimate == abs(fine - coarse) + quadrature.tail_bound(spec, 100.0)[0]
+        assert q.value == pytest.approx(integrate(spec, 100.0, 16).value, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", PANEL_SPECS)
+    @pytest.mark.parametrize("t_max", [10.0, 37.3])
+    def test_integrate_bitwise_reference(self, spec, t_max):
+        fine, coarse = _reference_integrate(spec, t_max, 16)
+        q = integrate(spec, t_max)
+        assert q.value == fine
+        assert q.error_estimate == abs(fine - coarse) + quadrature.tail_bound(spec, t_max)[0]
+
+    @pytest.mark.parametrize("spec", PANEL_SPECS)
+    def test_correction_bitwise_reference(self, spec):
+        assert correction_term(spec) == _reference_correction(spec.nus, spec.scales, spec.lam)
+        # odd parity: the contour integral itself, not a vanishing multiple of it
+        odd = _reference_correction(spec.nus, spec.scales, spec.lam + 1.0)
+        assert odd != 0.0
+        assert correction_term_power_product(spec.nus, spec.scales, spec.lam + 1.0) == odd
 
 
 class TestBandLimit:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, hyp2f1
 
 from besselsum import identity, summation
 from besselsum.errors import InvalidSpec, ToleranceUnreachable
@@ -14,6 +15,15 @@ from besselsum.summation import (
 )
 
 PI = math.pi
+
+
+def _weber_schafheitlin(mu, nu, lam, a, b):
+    """DLMF 10.22.56: integral of J_mu(a t) J_nu(b t) t^-lam over (0, inf), 0 < b < a."""
+    return (
+        b**nu * gamma((nu + mu - lam + 1) / 2)
+        / (2**lam * a ** (nu - lam + 1) * gamma((mu - nu + lam + 1) / 2) * gamma(nu + 1))
+        * hyp2f1((nu + mu - lam + 1) / 2, (nu - mu - lam + 1) / 2, nu + 1, (b / a) ** 2)
+    )
 
 
 def test_sine_series_oracle_brute_force():
@@ -101,6 +111,22 @@ class TestEvaluate:
         r = evaluate(spec, terms=0, accelerate=False)
         assert r.value == identity.summand(spec, 0)
         assert r.terms_used == 0
+
+    @pytest.mark.parametrize(
+        "spec, closed",
+        [
+            (make_spec(0, [1.5, 1.5], [1.0, 0.7]), _weber_schafheitlin(1.5, 1.5, 3.0, 1.0, 0.7)),
+            (make_spec(0, [0.5], [2.0]), math.sqrt(PI) / 2.0),  # sqrt(1/pi) * Si(inf)
+            (make_spec(1, [2.5, 2.5], [1.0, 0.5]), _weber_schafheitlin(2.5, 2.5, 3.0, 1.0, 0.5)),
+        ],
+    )
+    def test_error_bound_below_ten_terms_is_inf(self, spec, closed):
+        # the envelope bound starts at M = 10; below it no bound is claimed
+        for m in range(10):
+            assert evaluate(spec, terms=m).error_bound == math.inf
+        for m in (10, 11, 20, 50, 100, 1000):
+            r = evaluate(spec, terms=m)
+            assert abs(r.value - closed) <= r.error_bound
 
     def test_rescale_prefactor_contract(self):
         # value = A^(sum nu - 1 - 2k) * (sum of the rescaled spec)
