@@ -27,13 +27,12 @@ from .identity import (
     beat_frequencies,
     check_validity,
     integrand,
-    lambda_of,
     make_spec,
     rescale,
     summand,
 )
 from .quadrature import QuadratureResult, band_limit_check, correction_term, integrate
-from .specfun import Order, OrderKind, bessel_i, bessel_i_scaled, bessel_j, spherical_j
+from .specfun import OrderKind, bessel_i_scaled, bessel_j
 from .summation import (
     SummationResult,
     evaluate,
@@ -51,7 +50,6 @@ __all__ = [
     "DomainError",
     "Factor",
     "InvalidSpec",
-    "Order",
     "OrderKind",
     "QuadratureResult",
     "SizeError",
@@ -61,7 +59,6 @@ __all__ = [
     "band_limit_check",
     "beat_exists",
     "beat_frequencies",
-    "bessel_i",
     "bessel_i_scaled",
     "bessel_j",
     "check_validity",
@@ -69,11 +66,9 @@ __all__ = [
     "evaluate",
     "integrand",
     "integrate",
-    "lambda_of",
     "make_spec",
     "required_terms",
     "rescale",
-    "spherical_j",
     "sum_truncated",
     "summand",
     "truncation_bound",

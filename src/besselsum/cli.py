@@ -19,12 +19,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import identity, quadrature, summation
 from .errors import (
     ConfigError,
     DampingError,
+    DomainError,
     InvalidSpec,
     SizeError,
     ToleranceUnreachable,
@@ -211,14 +210,9 @@ class SweepTable:
 def _raw_sum(spec: BesselProductSpec, terms: int) -> float:
     """Truncated sum without the validity gate (sweeps cross the boundary)."""
     try:
-        m0 = identity.summand(spec, 0)
+        return summation.sum_power_product(spec.nus, spec.scales, spec.lam, terms)
     except InvalidSpec:
         return float("nan")
-    total = [m0]
-    if terms >= 1:
-        vals = identity.summand_terms(spec, np.arange(1, terms + 1))
-        total.append(math.fsum(vals))
-    return math.fsum(total)
 
 
 def run_sweep(
@@ -393,10 +387,9 @@ def cmd_compare(args) -> int:
     t_max = args.t_max if args.t_max is not None else quadrature.t_max_for_tail(spec, 1e-6)
     try:
         quad = quadrature.integrate(spec, t_max)
-    except (InvalidSpec, ConfigError) as exc:
+    except (InvalidSpec, ConfigError, SizeError) as exc:
         print(f"quadrature oracle failed: {exc}", file=sys.stderr)
         return 2
-    report = identity.check_validity(spec)
     print(
         f"sum_value = {_fmt(result.value)} (terms={result.terms_used}, "
         f"class={result.convergence_class.value}, "
@@ -420,7 +413,7 @@ def cmd_compare(args) -> int:
         print(f"band_limit_leakage = {_fmt(leak)}")
     except (ConfigError, InvalidSpec) as exc:
         print(f"band_limit_leakage = n/a ({exc})")
-    if report.needs_rescale:
+    if result.rescaled:
         print("note: direct summation invalid at these scales; compared via the rescale path")
     diff = abs(result.value - quad.value)
     bound = result.error_bound + quad.error_estimate + 1e-9
@@ -476,7 +469,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SizeError, ToleranceUnreachable, InvalidSpec) as exc:
+    except (SizeError, ToleranceUnreachable, InvalidSpec, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

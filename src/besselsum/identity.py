@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .errors import InvalidSpec, SizeError
+from .errors import DomainError, InvalidSpec, SizeError
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,11 +180,6 @@ class ValidityReport:
                 for r in self.triggered_rules
             ],
         }
-
-
-def lambda_of(spec: BesselProductSpec) -> float:
-    """The derived integrand exponent sum(nu_j) - 2k."""
-    return spec.lam
 
 
 def beat_exists(scales) -> tuple[int, ...] | None:
@@ -378,12 +373,20 @@ def rescale(spec: BesselProductSpec) -> tuple[BesselProductSpec, float, float]:
     and prefactor A^(sum(nu) - 1 - 2k) such that
 
         integral(spec) = prefactor * integral(rescaled spec).
+
+    Raises DomainError when the prefactor overflows or underflows to 0.
     """
     sum_a = spec.sum_scales
     if sum_a <= TWO_PI * (1.0 + BOUNDARY_RTOL):
         return spec, 1.0, 1.0
     A = sum_a / TWO_PI
-    prefactor = A ** (spec.sum_nu - 1.0 - 2.0 * spec.k)
+    expo = spec.sum_nu - 1.0 - 2.0 * spec.k
+    try:
+        prefactor = A ** expo
+    except OverflowError:
+        prefactor = math.inf
+    if not 0.0 < prefactor < math.inf:
+        raise DomainError(f"rescale prefactor A^{expo:g} with A = {A:g} is beyond the float range")
     scaled = BesselProductSpec(
         k=spec.k,
         factors=tuple(Factor(f.nu, f.a / A) for f in spec.factors),
@@ -392,19 +395,21 @@ def rescale(spec: BesselProductSpec) -> tuple[BesselProductSpec, float, float]:
 
 
 def zero_limit(spec: BesselProductSpec) -> float:
-    """lim_{t->0} of the integrand: 0 for positive zero-limit exponent, the
-    product of leading small-argument coefficients at exponent 0."""
-    e = spec.zero_exponent()
+    """lim_{t->0} of the integrand."""
+    return power_product_zero_limit(spec.nus, spec.scales, spec.zero_exponent())
+
+
+def power_product_zero_limit(nus, scales, e: float) -> float:
+    """lim_{t->0} of t^(-lam) prod_j J_{nu_j}(a_j t), whose net power of t
+    there is e: 0 for e > 0, the product of leading small-argument
+    coefficients at e = 0."""
     if e < -BOUNDARY_RTOL:
         raise InvalidSpec(
             f"integrand diverges at t = 0 (zero-limit exponent {e:g} < 0)"
         )
     if e > BOUNDARY_RTOL:
         return 0.0
-    prod = 1.0
-    for f in spec.factors:
-        prod *= specfun.small_argument_coeff(f.nu, f.a)
-    return prod
+    return math.prod(specfun.small_argument_coeff(v, a) for v, a in zip(nus, scales))
 
 
 def power_product_array(nus, scales, lam: float, t: np.ndarray) -> np.ndarray:

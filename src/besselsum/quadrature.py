@@ -18,14 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import chebwin
 
 from . import identity, specfun, summation
-from .errors import ConfigError, DampingError, InvalidSpec
+from .errors import ConfigError, DampingError, InvalidSpec, SizeError
 from .identity import TWO_PI, BesselProductSpec
 
 #: nodes_per_panel admissible range
 _NODES_RANGE = (8, 64)
+#: most panels one quadrature may allocate
+MAX_PANELS = 2**20
 
 #: Gauss-Legendre (nodes, weights) for the node counts the defaults use:
 #: 16 and 8 in the integrals, 32 in the correction term.  Other counts are
@@ -80,8 +81,18 @@ def _equal_panels(t_max, width: float, nodes_per_panel: int) -> np.ndarray:
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ConfigError(f"t_max must be positive and finite, got {t_max}")
     t_max = float(t_max)
-    n_panels = max(1, int(math.ceil(t_max / width)))
-    return np.linspace(0.0, t_max, n_panels + 1)
+    panels = t_max / width
+    _check_panels(panels, "t_max", t_max)
+    return np.linspace(0.0, t_max, max(1, math.ceil(panels)) + 1)
+
+
+def _check_panels(count: float, name: str, limit: float) -> None:
+    """Raise SizeError before a grid of more than MAX_PANELS panels is built."""
+    if count > MAX_PANELS:
+        raise SizeError(
+            f"{name} = {limit:g} needs {count:.4g} quadrature panels, "
+            f"beyond the cap of {MAX_PANELS}"
+        )
 
 
 def tail_bound(spec: BesselProductSpec, t_max: float) -> tuple[float, bool]:
@@ -184,6 +195,7 @@ def _correction_quad(nus, scales, lam: float, y_max: float, nodes: int) -> float
 
     # panels clustered quadratically toward y = 0 where the integrand varies
     n_panels = max(32, int(8 * math.sqrt(y_max)))
+    _check_panels(n_panels, "y_max", y_max)
     u = np.linspace(0.0, 1.0, n_panels + 1)
     edges = y_max * u * u
     edges[0] = min(1e-12, edges[1] / 2 if len(edges) > 1 else 1e-12)
@@ -198,15 +210,6 @@ def correction_term(spec: BesselProductSpec, y_max: float = 20.0) -> float:
     must vanish (to roundoff of the parity sine); a nonzero value flags a
     broken phase convention.
     """
-    if not (y_max >= 0 and math.isfinite(y_max)):
-        raise ConfigError(f"y_max must be non-negative and finite, got {y_max}")
-    if y_max == 0:
-        return 0.0
-    if spec.sum_scales >= TWO_PI * (1.0 - 1e-12):
-        raise DampingError(
-            f"sum of scales {spec.sum_scales:.6g} must be < 2*pi for the "
-            f"correction integrand to damp"
-        )
     _require_integrable(spec)
     return correction_term_power_product(spec.nus, spec.scales, spec.lam, y_max)
 
@@ -215,12 +218,16 @@ def correction_term_power_product(
     nus, scales, lam: float, y_max: float = 20.0, nodes: int = 32
 ) -> float:
     """Correction integral for general lam (odd-parity closure checks)."""
-    if not math.isfinite(y_max):
-        raise ConfigError(f"y_max must be finite, got {y_max}")
-    if math.fsum(scales) >= TWO_PI * (1.0 - 1e-12):
-        raise DampingError("sum of scales must be < 2*pi")
-    if y_max <= 0:
+    if not (y_max >= 0 and math.isfinite(y_max)):
+        raise ConfigError(f"y_max must be non-negative and finite, got {y_max}")
+    if y_max == 0:
         return 0.0
+    sum_a = math.fsum(scales)
+    if sum_a >= TWO_PI * (1.0 - 1e-12):
+        raise DampingError(
+            f"sum of scales {sum_a:.6g} must be < 2*pi for the "
+            f"correction integrand to damp"
+        )
     return _correction_quad(tuple(map(float, nus)), tuple(map(float, scales)), float(lam), float(y_max), nodes)
 
 
@@ -259,6 +266,8 @@ def band_limit_check(
     x[nonzero] = identity.integrand_array(spec, np.abs(t[nonzero]))
     if not nonzero.all():
         x[~nonzero] = identity.zero_limit(spec)
+    from scipy.signal.windows import chebwin  # scipy.signal is slow to import
+
     window = chebwin(n, at=140)
     power = np.abs(np.fft.fft(x * window)) ** 2
     freqs = np.fft.fftfreq(n, dt)

@@ -1,10 +1,10 @@
-"""Bessel functions J_nu, I_nu and spherical j_ell for real order and x >= 0.
+"""Bessel functions J_nu and scaled I_nu for real order and x >= 0.
 
 Evaluation is backed by scipy.special; this module pins down the edge cases
 the rest of the library relies on: exact reflection J_{-n} = (-1)^n J_n for
-integer n, the x = 0 limits, overflow signalling for I_nu, and exact
-order classification (integer / half-integer detection with tolerance 1e-12,
-matching what survives CLI text parsing).
+integer n, the x = 0 limits, and exact order classification (integer /
+half-integer detection with tolerance 1e-12, matching what survives CLI text
+parsing).
 
 All functions are pure; there is no shared mutable state.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -43,38 +42,6 @@ def classify_order(nu: float) -> OrderKind:
     return OrderKind.GENERIC
 
 
-@dataclass(frozen=True)
-class Order:
-    """A real Bessel order together with its exact classification."""
-
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"order must be finite, got {self.value!r}")
-
-    @property
-    def kind(self) -> OrderKind:
-        return classify_order(self.value)
-
-    @property
-    def is_negative_integer(self) -> bool:
-        return self.kind is OrderKind.NEGATIVE_INTEGER
-
-    @property
-    def is_integer(self) -> bool:
-        return self.kind in (OrderKind.NEGATIVE_INTEGER, OrderKind.NONNEGATIVE_INTEGER)
-
-    def as_integer(self) -> int:
-        if not self.is_integer:
-            raise DomainError(f"order {self.value} is not an integer")
-        return int(round(self.value))
-
-
-def _order_value(nu) -> float:
-    return float(nu.value) if isinstance(nu, Order) else float(nu)
-
-
 def bessel_j(nu, x: float) -> float:
     """Bessel function of the first kind J_nu(x) for real nu, x >= 0.
 
@@ -83,7 +50,7 @@ def bessel_j(nu, x: float) -> float:
     negative integer nu), and raises DivergentAtZero for negative
     non-integer nu.
     """
-    v = _order_value(nu)
+    v = float(nu)
     x = float(x)
     if x < 0:
         raise DomainError(f"x must be non-negative, got {x}")
@@ -111,37 +78,9 @@ def jv_array(nu: float, x: np.ndarray) -> np.ndarray:
     return _sp.jv(v, x)
 
 
-def bessel_i(nu, x: float) -> float:
-    """Modified Bessel function I_nu(x) for real nu, x >= 0.
-
-    Raises OverflowError once the unscaled value exceeds the double range;
-    callers in the growth regime should use bessel_i_scaled.
-    """
-    v = _order_value(nu)
-    x = float(x)
-    if x < 0:
-        raise DomainError(f"x must be non-negative, got {x}")
-    if classify_order(v) is OrderKind.NEGATIVE_INTEGER:
-        v = float(-round(v))  # I_{-n} = I_n
-    if x == 0.0:
-        if abs(v) <= INTEGER_TOL:
-            return 1.0
-        if v > 0:
-            return 0.0
-        if classify_order(v) is OrderKind.NONNEGATIVE_INTEGER:
-            return 0.0
-        raise DivergentAtZero(f"I_nu(0) diverges for negative non-integer nu={v}")
-    out = float(_sp.iv(v, x))
-    if math.isinf(out):
-        raise OverflowError(
-            f"I_{v}({x}) exceeds the representable range; use bessel_i_scaled"
-        )
-    return out
-
-
 def bessel_i_scaled(nu, x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x)."""
-    v = _order_value(nu)
+    v = float(nu)
     x = float(x)
     if x < 0:
         raise DomainError(f"x must be non-negative, got {x}")
@@ -158,25 +97,27 @@ def ive_array(nu: float, x: np.ndarray) -> np.ndarray:
     return _sp.ive(v, x)
 
 
-def spherical_j(ell: int, x: float) -> float:
-    """Spherical Bessel function j_ell(x) = sqrt(pi/(2x)) J_{ell+1/2}(x)."""
-    if ell != int(ell) or ell < 0:
-        raise DomainError(f"ell must be a non-negative integer, got {ell!r}")
-    x = float(x)
-    if x < 0:
-        raise DomainError(f"x must be non-negative, got {x}")
-    return float(_sp.spherical_jn(int(ell), x))
-
-
 def small_argument_coeff(nu: float, a: float) -> float:
     """Leading coefficient of J_nu(a t) as t -> 0.
 
     (a/2)^nu / Gamma(nu+1) for nu not a negative integer, else
     (-1)^n (a/2)^n / n! with n = |nu| (the first surviving series term).
+    Where the power or the Gamma function overflows the ratio is formed in
+    log space; a ratio beyond the float range raises DomainError.
     """
     v = float(nu)
-    if classify_order(v) is OrderKind.NEGATIVE_INTEGER:
-        n = -round(v)
-        sign = -1.0 if n % 2 else 1.0
-        return sign * (a / 2.0) ** n / math.factorial(n)
-    return (a / 2.0) ** v / math.gamma(v + 1.0)
+    negint = classify_order(v) is OrderKind.NEGATIVE_INTEGER
+    if negint:
+        v = float(-round(v))
+    sign = -1.0 if negint and v % 2 else 1.0
+    try:
+        return sign * (a / 2.0) ** v / (math.factorial(int(v)) if negint else math.gamma(v + 1.0))
+    except OverflowError:
+        log_c = v * math.log(a / 2.0) - math.lgamma(v + 1.0)
+    try:
+        return sign * math.exp(log_c)
+    except OverflowError:
+        raise DomainError(
+            f"small-argument coefficient of J_{nu:g}({a:g} t) is e^{log_c:g}, "
+            f"beyond the float range"
+        ) from None

@@ -69,32 +69,79 @@ def _require_valid(spec: BesselProductSpec) -> identity.ValidityReport:
     return report
 
 
-def _terms(spec: BesselProductSpec, m_max: int) -> np.ndarray:
+def _terms(nus, scales, lam: float, m_max: int) -> np.ndarray:
     """Summand terms for m = 1..m_max, computed in ascending 4096-blocks."""
     out = np.empty(m_max)
     for lo in range(1, m_max + 1, BLOCK):
         hi = min(lo + BLOCK - 1, m_max)
-        out[lo - 1 : hi] = identity.summand_terms(spec, np.arange(lo, hi + 1))
+        block = np.arange(lo, hi + 1, dtype=float)
+        out[lo - 1 : hi] = identity.power_product_array(nus, scales, lam, block)
     return out
 
 
-def sum_truncated(spec: BesselProductSpec, terms: int) -> float:
-    """Partial sum over m = 0..terms in ascending order, compensated.
+def _blocked_sum(m0: float, vals: np.ndarray) -> float:
+    """m0 plus the terms, exact fsum within each 4096-block and across blocks."""
+    if len(vals) == 0:
+        return m0  # fsum([m0]) would turn -0.0 into 0.0
+    block_sums = [math.fsum(vals[lo : lo + BLOCK]) for lo in range(0, len(vals), BLOCK)]
+    return math.fsum([m0] + block_sums)
 
-    Uses exact (correctly rounded) fsum within and across blocks, so the
-    round-off is far below the 1e-14 * sum|terms| contract.
+
+def sum_power_product(nus, scales, lam: float, terms: int) -> float:
+    """Partial sum over m = 0..terms of eps_m m^(-lam) prod_j J_{nu_j}(a_j m).
+
+    The one partial-sum kernel, for general lam (the spec type pins
+    lam = sum(nu) - 2k).  The m = 0 term is the half-weight t -> 0 limit,
+    which must exist.  Uses exact (correctly rounded) fsum within and across
+    blocks, so the round-off is far below the 1e-14 * sum|terms| contract.
     """
+    nus = tuple(float(v) for v in nus)
+    scales = tuple(float(a) for a in scales)
+    e = math.fsum(
+        (abs(v) if specfun.classify_order(v) is specfun.OrderKind.NEGATIVE_INTEGER else v)
+        for v in nus
+    ) - lam
+    m0 = 0.5 * identity.power_product_zero_limit(nus, scales, e)
+    return _blocked_sum(m0, _terms(nus, scales, lam, max(int(terms), 0)))
+
+
+def sum_truncated(spec: BesselProductSpec, terms: int) -> float:
+    """Partial sum over m = 0..terms of a valid spec, in ascending order."""
     _require_valid(spec)
     if terms < 0 or terms != int(terms):
         raise InvalidSpec(f"terms must be a non-negative integer, got {terms!r}")
-    m0 = identity.summand(spec, 0)
-    if terms == 0:
-        return m0
-    vals = _terms(spec, int(terms))
-    block_sums = [
-        math.fsum(vals[lo : lo + BLOCK]) for lo in range(0, len(vals), BLOCK)
-    ]
-    return math.fsum([m0] + block_sums)
+    return sum_power_product(spec.nus, spec.scales, spec.lam, int(terms))
+
+
+def _analyse(spec: BesselProductSpec):
+    """(report, aliased, C, q) of a valid spec, else InvalidSpec.
+
+    The validity report, the aliased beat frequencies (enumerated for the
+    conditional class only, () otherwise) and the truncation bound
+    C * M^(-q) described in ``truncation_bound``.
+    """
+    report = _require_valid(spec)
+    p = spec.lam + spec.n_factors / 2.0
+    c = envelope_constant(spec)
+    if report.convergence_class is ConvergenceClass.ABSOLUTE:
+        return report, (), c * max(1.0, 1.0 / abs(1.0 - p)), p - 1.0
+    aliased = identity.aliased_beat_frequencies(spec.scales)
+    if aliased and min(aliased) < _SLOW_BEAT:
+        c /= min(aliased)
+    return report, aliased, c, p
+
+
+def _required(c: float, q: float, tol: float) -> int:
+    """Smallest M >= 10 with c * M^(-q) <= tol (ties rounded up)."""
+    if tol <= 0:
+        raise InvalidSpec(f"tol must be positive, got {tol}")
+    if c <= tol:
+        return 10
+    # log space: 1/q = 1/(p-1) blows up as p -> 1+ in the absolute case
+    log_m = math.log(c / tol) * (1.0 / q)
+    if log_m > math.log(1e15):
+        return 10**15 + 1
+    return max(10, int(math.ceil(math.exp(log_m))))
 
 
 def truncation_bound(spec: BesselProductSpec, terms: int) -> float:
@@ -105,51 +152,25 @@ def truncation_bound(spec: BesselProductSpec, terms: int) -> float:
     A heuristic 1/A guard enters C when the slowest aliased beat frequency A
     is below 0.1 (slow beats shrink the alternation the bound relies on).
     """
-    report = _require_valid(spec)
+    _, _, c, q = _analyse(spec)
     if terms < 10:
         raise InvalidSpec(f"truncation_bound requires terms >= 10, got {terms}")
-    p = spec.lam + spec.n_factors / 2.0
-    c = envelope_constant(spec)
-    if report.convergence_class is ConvergenceClass.ABSOLUTE:
-        c *= max(1.0, 1.0 / abs(1.0 - p))
-        return c * float(terms) ** (1.0 - p)
-    aliased = identity.aliased_beat_frequencies(spec.scales)
-    if aliased and min(aliased) < _SLOW_BEAT:
-        c /= min(aliased)
-    return c * float(terms) ** (-p)
+    return c * float(terms) ** (-q)
 
 
 def required_terms(spec: BesselProductSpec, tol: float) -> int:
     """Smallest M >= 10 whose truncation bound is <= tol (ties rounded up)."""
-    if tol <= 0:
-        raise InvalidSpec(f"tol must be positive, got {tol}")
-    report = _require_valid(spec)
-    p = spec.lam + spec.n_factors / 2.0
-    c = envelope_constant(spec)
-    if report.convergence_class is ConvergenceClass.ABSOLUTE:
-        c *= max(1.0, 1.0 / abs(1.0 - p))
-        expo = 1.0 / (p - 1.0)
-    else:
-        aliased = identity.aliased_beat_frequencies(spec.scales)
-        if aliased and min(aliased) < _SLOW_BEAT:
-            c /= min(aliased)
-        expo = 1.0 / p
-    if c <= tol:
-        return 10
-    # log space: expo = 1/(p-1) blows up as p -> 1+ in the absolute case
-    log_m = math.log(c / tol) * expo
-    if log_m > math.log(1e15):
-        return 10**15 + 1
-    return max(10, int(math.ceil(math.exp(log_m))))
+    _, _, c, q = _analyse(spec)
+    return _required(c, q, tol)
 
 
-def _accelerate(partial: np.ndarray, scales) -> tuple[float, float] | None:
+def _accelerate(partial: np.ndarray, aliased) -> tuple[float, float] | None:
     """Iterated pairwise averaging of the tail of the partial-sum sequence.
 
     partial[i] holds S_{i+1}; the tail beyond len/2 is filtered by the
     shift-h averaging operator u -> (u_m + u_{m+h})/2 with h = round(pi/A)
-    for each aliased beat frequency A (three passes each), then a short
-    plain cascade.  Returns (value, error estimate) or None when the tail
+    for each aliased beat frequency A in ``aliased`` (three passes each),
+    then a short plain cascade.  Returns (value, error estimate) or None when the tail
     is too short to filter.
     """
     m_max = len(partial)
@@ -157,7 +178,7 @@ def _accelerate(partial: np.ndarray, scales) -> tuple[float, float] | None:
     if len(u) < 8:
         return None
     increments = []
-    for w in identity.aliased_beat_frequencies(scales):
+    for w in aliased:
         h = max(1, int(round(math.pi / w)))
         for _ in range(_ACCEL_REPS):
             if len(u) <= h + 2:
@@ -199,8 +220,7 @@ def evaluate(
     if (terms is None) == (tol is None):
         raise InvalidSpec("exactly one of terms= or tol= must be given")
     work, prefactor, A = identity.rescale(spec)
-    rescaled = A != 1.0
-    report = _require_valid(work)
+    report, aliased, c, q = _analyse(work)
     conditional = report.convergence_class is ConvergenceClass.CONDITIONAL
 
     if terms is not None:
@@ -208,7 +228,7 @@ def evaluate(
         if m_used < 0:
             raise InvalidSpec(f"terms must be non-negative, got {terms}")
     else:
-        m_used = required_terms(work, tol / abs(prefactor))
+        m_used = _required(c, q, tol / abs(prefactor))
         if m_used > m_max:
             if not (conditional and accelerate):
                 raise ToleranceUnreachable(
@@ -217,26 +237,17 @@ def evaluate(
             m_used = m_max
 
     m0 = identity.summand(work, 0)
-    if m_used == 0:
-        raw = m0
-        vals = np.empty(0)
-    else:
-        vals = _terms(work, m_used)
-        block_sums = [
-            math.fsum(vals[lo : lo + BLOCK]) for lo in range(0, len(vals), BLOCK)
-        ]
-        raw = math.fsum([m0] + block_sums)
-
+    vals = _terms(work.nus, work.scales, work.lam, m_used)
+    value, err = _blocked_sum(m0, vals), None
     accelerated = False
-    value, err = raw, None
     if conditional and accelerate and m_used >= 64:
-        acc = _accelerate(m0 + np.cumsum(vals), work.scales)
+        acc = _accelerate(m0 + np.cumsum(vals), aliased)
         if acc is not None:
             value, err = acc
             accelerated = True
     if err is None:
         # the envelope analysis starts at 10 terms; below that there is no bound
-        err = truncation_bound(work, m_used) if m_used >= 10 else math.inf
+        err = c * float(m_used) ** (-q) if m_used >= 10 else math.inf
 
     if tol is not None and err * abs(prefactor) > tol:
         raise ToleranceUnreachable(
@@ -249,37 +260,7 @@ def evaluate(
         error_bound=abs(prefactor) * err,
         convergence_class=report.convergence_class,
         accelerated=accelerated,
-        rescaled=rescaled,
+        rescaled=A != 1.0,
         rescale_A=A,
     )
 
-
-def sum_power_product(nus, scales, lam: float, terms: int) -> float:
-    """Partial sum of eps_m m^(-lam) prod_j J_{nu_j}(a_j m) for general lam.
-
-    Bypasses the spec type (which pins lam = sum(nu) - 2k); used for
-    odd-parity closure checks against the correction term.  The m = 0 term
-    is the half-weight t -> 0 limit, which must exist.
-    """
-    nus = tuple(float(v) for v in nus)
-    scales = tuple(float(a) for a in scales)
-    e = math.fsum(
-        (abs(v) if specfun.classify_order(v) is specfun.OrderKind.NEGATIVE_INTEGER else v)
-        for v in nus
-    ) - lam
-    if e < -1e-12:
-        raise InvalidSpec(f"t -> 0 limit diverges (exponent {e:g} < 0)")
-    if e > 1e-12:
-        m0 = 0.0
-    else:
-        m0 = 0.5 * math.prod(
-            specfun.small_argument_coeff(v, a) for v, a in zip(nus, scales)
-        )
-    if terms == 0:
-        return m0
-    chunks = []
-    for lo in range(1, int(terms) + 1, BLOCK):
-        hi = min(lo + BLOCK - 1, int(terms))
-        block = identity.power_product_array(nus, scales, lam, np.arange(lo, hi + 1, dtype=float))
-        chunks.append(math.fsum(block))
-    return math.fsum([m0] + chunks)

@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
-from besselsum import cli, identity
+from besselsum import cli, identity, summation
 from besselsum.cli import CliError, main, parse_number, read_sweep_csv
 
 PI = math.pi
@@ -69,6 +72,22 @@ class TestCompute:
         out = capsys.readouterr().out
         assert rc == 0
         assert "error_bound = inf" in out
+
+    @pytest.mark.parametrize(
+        "nu, a, k",
+        [("200.5", "0.5", "0"), ("50,50", "1e10,1", "0"), ("0.3,0.3,0.3,0.2", "1e300,1,1,1", "1")],
+    )
+    def test_float_range_overflow_ends_typed(self, capsys, nu, a, k):
+        # Gamma(201.5) overflows a double, the rescale prefactor A^99
+        # overflows and A^-1.9 underflows: a value or exit 2, never an
+        # internal error, and fast
+        start = time.perf_counter()
+        rc = main(["compute", f"--nu={nu}", f"--a={a}", f"--k={k}"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert rc in (0, 2) and "internal error" not in err
+        assert rc == 2 or "value = " in out
+        assert elapsed < 1.0
 
     def test_invalid_spec_exit_2(self, capsys):
         rc = main(["compute", "--nu", "0.0", "--a", "1.0", "--k", "1"])
@@ -174,6 +193,14 @@ class TestSweep:
 
         assert [bits(r) for r in many] == [bits(r) for r in singles]
 
+    def test_row_sum_is_the_spec_sum(self):
+        # sweeps sum through the same blocked kernel as compute, also past
+        # one 4096-block
+        template = identity.make_spec(-1, [-1.5, -1.0, 0.5, 0.0], [3 * PI / 16] * 3 + [1.0])
+        row = cli.run_sweep(template, 3, [1.0], terms=5000, t_max=10.0).rows[0]
+        assert row.valid
+        assert row.sum_value.hex() == summation.sum_truncated(template, 5000).hex()
+
     def test_rows_sorted_by_b(self, tmp_path):
         _, out = self.run_sweep(tmp_path, rng="6.0:0.1:5")  # descending input
         with open(out) as fh:
@@ -256,6 +283,12 @@ class TestCompare:
         rc = main(["compare", "--nu", "0.0", "--a", "1.0", "--k", "1"])
         assert rc == 2
 
+    def test_huge_t_max_is_oracle_failure_exit_2(self, capsys):
+        rc = main(["compare", "--nu", "0.5,1.5", "--a", "0.3,1.0", "--t-max=1e300"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "quadrature oracle failed" in err and "quadrature panels" in err
+
     @pytest.mark.parametrize("t_max", ["inf", "nan", "-5"])
     def test_bad_t_max_is_oracle_failure_exit_2(self, capsys, t_max):
         rc = main(["compare", "--nu", "0.5,1.5", "--a", "0.3,1.0", f"--t-max={t_max}"])
@@ -272,6 +305,19 @@ def test_help_via_subprocess():
     )
     assert proc.returncode == 0
     assert "compute" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is imported inside band_limit_check only: it is most of
+    # the cost of a cold import
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import besselsum, sys; assert 'scipy.signal' not in sys.modules"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_entry_point():

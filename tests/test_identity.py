@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besselsum import identity
-from besselsum.errors import InvalidSpec, SizeError
+from besselsum.errors import DomainError, InvalidSpec, SizeError
 from besselsum.identity import (
     BesselProductSpec,
     ConvergenceClass,
@@ -14,7 +14,6 @@ from besselsum.identity import (
     beat_frequencies,
     check_validity,
     integrand,
-    lambda_of,
     make_spec,
     rescale,
     summand,
@@ -37,8 +36,8 @@ def four_factor_spec(a=PI / 16, b=1.0):
 
 class TestSpecType:
     def test_lambda_examples(self):
-        assert lambda_of(make_spec(0, [0.5, 1.5], [1.0, 1.0])) == 2.0
-        assert lambda_of(make_spec(2, [0.0, 1.0, 2.0], [1.0, 1.0, 1.0])) == -1.0
+        assert make_spec(0, [0.5, 1.5], [1.0, 1.0]).lam == 2.0
+        assert make_spec(2, [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]).lam == -1.0
 
     def test_empty_factor_list_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -197,6 +196,17 @@ class TestRescale:
         spec = make_spec(0, [1.5, 1.5], [PI, PI])
         scaled, prefactor, big_a = rescale(spec)
         assert scaled == spec and big_a == 1.0
+
+    @pytest.mark.parametrize(
+        "spec, expo",
+        [
+            (make_spec(0, [50.0, 50.0], [1e10, 1.0]), "99"),  # A^99 overflows
+            (make_spec(1, [0.3, 0.3, 0.3, 0.2], [1e300, 1.0, 1.0, 1.0]), "-1.9"),  # underflows
+        ],
+    )
+    def test_prefactor_beyond_float_range_is_a_domain_error(self, spec, expo):
+        with pytest.raises(DomainError, match=rf"A\^{expo} with A = "):
+            rescale(spec)
 
     @given(st.floats(min_value=0.1, max_value=30.0), st.floats(min_value=0.1, max_value=30.0))
     @settings(max_examples=50, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from besselsum import identity, quadrature, specfun, summation
-from besselsum.errors import ConfigError, DampingError, InvalidSpec
+from besselsum.errors import ConfigError, DampingError, InvalidSpec, SizeError
 from besselsum.identity import make_spec
 from besselsum.quadrature import (
     band_limit_check,
@@ -44,12 +44,12 @@ class TestIntegrate:
         q = integrate(spec, t_max_for_tail(spec, 1e-6), 16)
         expected_spec_value = (b / a) ** 1.5 / 3.0  # the 1/t-weighted integral
         assert q.value == pytest.approx(expected_spec_value, abs=1e-6)
-        # direct sampling of spherical_j reproduces the prefactor relation
-        from besselsum import specfun
+        # direct sampling of scipy's spherical j_1 reproduces the prefactor relation
+        from scipy.special import spherical_jn
 
         ts = [0.3, 1.0, 2.7]
         for t in ts:
-            lhs = specfun.spherical_j(1, a * t) * specfun.spherical_j(1, b * t)
+            lhs = spherical_jn(1, a * t) * spherical_jn(1, b * t)
             rhs = (PI / (2.0 * t * math.sqrt(a * b))) * identity.integrand(
                 make_spec(1, [1.5, 1.5], [a, b]), t
             ) * t
@@ -86,6 +86,15 @@ class TestIntegrate:
     def test_power_product_checks_like_integrate(self, t_max, nodes):
         with pytest.raises(ConfigError):
             integrate_power_product((1.5, 1.5), (1.0, 0.7), 2.0, t_max, nodes)
+
+    @pytest.mark.parametrize("t_max", [1e8, 1e300])
+    def test_panel_count_capped(self, t_max):
+        # ceil(t_max * sum(a) / pi) panels: refused before any allocation
+        spec = make_spec(0, [0.5, 1.5], [0.3, 1.0])
+        with pytest.raises(SizeError, match=r"t_max = 1e\+\d+ needs .* quadrature panels"):
+            integrate(spec, t_max)
+        with pytest.raises(SizeError):
+            integrate_power_product(spec.nus, spec.scales, spec.lam, t_max)
 
     def test_rejects_divergent_integrand(self):
         with pytest.raises(InvalidSpec):
@@ -174,10 +183,17 @@ class TestCorrectionTerm:
         with pytest.raises(ConfigError):
             correction_term(spec, y_max=y_max)
 
-    @pytest.mark.parametrize("y_max", [math.inf, math.nan])
+    @pytest.mark.parametrize("y_max", [math.inf, math.nan, -1.0])
     def test_power_product_y_max_must_be_finite(self, y_max):
         with pytest.raises(ConfigError):
             correction_term_power_product((1.5, 1.5), (1.0, 0.7), 2.0, y_max)
+
+    @pytest.mark.parametrize("y_max", [2e10, 1e300])
+    def test_panel_count_capped(self, y_max):
+        # 8*sqrt(y_max) clustered panels: refused before any allocation
+        spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
+        with pytest.raises(SizeError, match="y_max .* quadrature panels"):
+            correction_term(spec, y_max=y_max)
 
     def test_damping_required(self):
         with pytest.raises(DampingError):

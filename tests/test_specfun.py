@@ -4,18 +4,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import spherical_jn
 
 from besselsum import specfun
 from besselsum.errors import DivergentAtZero, DomainError
 from besselsum.specfun import (
-    Order,
     OrderKind,
-    bessel_i,
     bessel_i_scaled,
     bessel_j,
     classify_order,
     small_argument_coeff,
-    spherical_j,
 )
 
 mp.mp.dps = 30
@@ -37,11 +35,11 @@ class TestOrderClassification:
         ],
     )
     def test_kinds(self, value, kind):
-        assert Order(value).kind is kind
+        assert classify_order(value) is kind
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            Order(float("nan"))
+            classify_order(float("nan"))
         with pytest.raises(DomainError):
             classify_order(float("inf"))
 
@@ -73,10 +71,6 @@ class TestBesselJ:
         # J_{1/2}(x) = sqrt(2/(pi x)) sin x; at x = pi/2 this is 2/pi
         got = bessel_j(0.5, math.pi / 2)
         assert got == pytest.approx(2.0 / math.pi, rel=1e-14)
-
-    def test_accepts_order_instances(self):
-        assert bessel_j(Order(0.5), 2.0) == bessel_j(0.5, 2.0)
-        assert bessel_i(Order(-1.0), 2.5) == bessel_i(1.0, 2.5)
 
     def test_reflection_even_order(self):
         assert bessel_j(-2.0, 1.7) == bessel_j(2.0, 1.7)
@@ -138,22 +132,20 @@ class TestBesselJ:
 
 
 class TestBesselI:
+    """The modified Bessel function I_nu through its scaled form e^{-x} I_nu(x)."""
+
     def test_at_zero(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(2.0, 0.0) == 0.0
+        assert bessel_i_scaled(0.0, 0.0) == 1.0
+        assert bessel_i_scaled(2.0, 0.0) == 0.0
 
     def test_half_integer_closed_form(self):
-        # I_{1/2}(x) = sqrt(2/(pi x)) sinh x
-        expect = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-        assert bessel_i(0.5, 1.0) == pytest.approx(expect, rel=1e-14)
-        assert expect == pytest.approx(0.937674888, abs=1e-9)
+        # e^{-x} I_{1/2}(x) = sqrt(2/(pi x)) e^{-x} sinh x
+        expect = math.sqrt(2.0 / math.pi) * math.sinh(1.0) * math.exp(-1.0)
+        assert bessel_i_scaled(0.5, 1.0) == pytest.approx(expect, rel=1e-14)
+        assert expect == pytest.approx(0.937674888 * math.exp(-1.0), abs=1e-9)
 
     def test_negative_integer_symmetry(self):
-        assert bessel_i(-1.0, 2.5) == bessel_i(1.0, 2.5)
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            bessel_i(0.0, 1000.0)
+        assert bessel_i_scaled(-1.0, 2.5) == bessel_i_scaled(1.0, 2.5)
 
     def test_scaled_variant_stays_finite(self):
         got = bessel_i_scaled(0.0, 1000.0)
@@ -162,36 +154,28 @@ class TestBesselI:
 
     def test_against_arbitrary_precision(self):
         for nu, x in [(0.0, 3.0), (1.5, 0.4), (-1.5, 6.0), (4.0, 12.0)]:
-            ref = float(mp.besseli(mp.mpf(nu), mp.mpf(x)))
-            assert bessel_i(nu, x) == pytest.approx(ref, rel=1e-12)
+            ref = float(mp.besseli(mp.mpf(nu), mp.mpf(x)) * mp.exp(-mp.mpf(x)))
+            assert bessel_i_scaled(nu, x) == pytest.approx(ref, rel=1e-12)
 
     def test_negative_x_rejected(self):
         with pytest.raises(DomainError):
-            bessel_i(0.0, -1.0)
+            bessel_i_scaled(0.0, -1.0)
 
 
 class TestSphericalJ:
-    def test_limits(self):
-        assert spherical_j(0, 0.0) == 1.0
-        assert spherical_j(1, 0.0) == 0.0
-        assert abs(spherical_j(0, math.pi)) < 1e-15  # sin(pi)/pi
+    """j_ell(x) = sqrt(pi/(2x)) J_{ell+1/2}(x), checked against scipy's j_ell."""
 
     def test_ell_one_closed_form(self):
         expect = math.sin(2.0) / 4.0 - math.cos(2.0) / 2.0
-        assert spherical_j(1, 2.0) == pytest.approx(expect, rel=1e-13)
+        got = math.sqrt(math.pi / 4.0) * bessel_j(1.5, 2.0)
+        assert got == pytest.approx(expect, rel=1e-13)
         assert expect == pytest.approx(0.435397774, abs=1e-9)
 
     def test_consistency_with_half_integer_j(self):
         for ell in range(6):
             for x in np.geomspace(0.01, 100.0, 30):
                 via_j = math.sqrt(math.pi / (2.0 * x)) * bessel_j(ell + 0.5, x)
-                assert spherical_j(ell, x) == pytest.approx(via_j, rel=1e-13)
-
-    def test_bad_inputs(self):
-        with pytest.raises(DomainError):
-            spherical_j(-1, 1.0)
-        with pytest.raises(DomainError):
-            spherical_j(0, -1.0)
+                assert spherical_jn(ell, x) == pytest.approx(via_j, rel=1e-13)
 
 
 def test_small_argument_coeff_negative_integer():
@@ -204,3 +188,25 @@ def test_small_argument_coeff_generic():
     assert small_argument_coeff(0.5, 2.0) == pytest.approx(
         1.0 / math.gamma(1.5), rel=1e-14
     )
+
+
+def test_small_argument_coeff_unchanged_below_overflow():
+    # the direct formula is kept wherever Gamma and the power stay finite
+    assert small_argument_coeff(170.5, 0.5) == 0.25**170.5 / math.gamma(171.5)
+    assert small_argument_coeff(-170.0, 3.0) == 1.5**170 / math.factorial(170)
+
+
+@pytest.mark.parametrize("nu, a", [(200.5, 0.5), (180.5, 300.0), (-200.0, 300.0), (-201.0, 300.0)])
+def test_small_argument_coeff_past_gamma_overflow(nu, a):
+    # Gamma(nu+1) (or n!) overflows a double; the ratio is formed in log space
+    n = abs(nu) if nu == round(nu) and nu < 0 else nu
+    ref = (mp.mpf(a) / 2) ** n / mp.gamma(n + 1)
+    if nu == round(nu) and nu < 0 and int(n) % 2:
+        ref = -ref
+    assert small_argument_coeff(nu, a) == pytest.approx(float(ref), rel=1e-11, abs=1e-300)
+
+
+def test_small_argument_coeff_beyond_float_range():
+    with pytest.raises(DomainError, match="beyond the float range"):
+        small_argument_coeff(200.0, 1e10)
+

@@ -60,6 +60,15 @@ def test_sum_truncated_matches_scalar_summands():
     assert sum_truncated(spec, 200) == pytest.approx(direct, rel=1e-15)
 
 
+@pytest.mark.parametrize("terms", [0, 10, 4096, 4097, 10**4])
+def test_sum_truncated_is_the_raw_kernel(terms):
+    # one partial-sum kernel: the spec-typed sum is the raw one, bit for bit
+    for spec in (make_spec(0, [0.5, 1.5], [PI / 16, 1.0]),
+                 make_spec(-1, [-1.5, -1.0, 0.5, 0.0], [PI / 16] * 3 + [1.0])):
+        raw = summation.sum_power_product(spec.nus, spec.scales, spec.lam, terms)
+        assert sum_truncated(spec, terms).hex() == raw.hex()
+
+
 def test_sum_truncated_rejects_invalid():
     with pytest.raises(InvalidSpec):
         sum_truncated(make_spec(1, [0.0], [1.0]), 100)  # R3 violated
@@ -171,6 +180,46 @@ class TestEvaluate:
         d = r.to_dict()
         assert set(d) == {"value", "terms_used", "error_bound", "class",
                           "accelerated", "rescaled", "A"}
+
+
+class TestOneAnalysis:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        fn = getattr(identity, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(identity, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "spec, aliased_calls",
+        [
+            (make_spec(0, [1.5, 1.5], [1.0, 0.7]), 0),  # absolute: no beat enumeration
+            (make_spec(0, [0.5], [1.0]), 1),  # conditional: beats feed acceleration
+            (make_spec(2, [0.0, 1.0, 2.0], [3 * PI / 16, 3 * PI / 16, 0.4]), 1),
+        ],
+    )
+    def test_tol_mode_analyses_once(self, monkeypatch, spec, aliased_calls):
+        checks = self._count(monkeypatch, "check_validity")
+        aliased = self._count(monkeypatch, "aliased_beat_frequencies")
+        try:
+            evaluate(spec, tol=1e-6, m_max=10**5)
+        except ToleranceUnreachable:
+            pass
+        assert len(checks) == 1
+        assert len(aliased) == aliased_calls
+
+    def test_fallback_bound_is_truncation_bound(self):
+        for spec in (make_spec(0, [1.5, 1.5], [1.0, 0.7]),
+                     make_spec(2, [0.0, 1.0, 2.0], [3 * PI / 16, 3 * PI / 16, 0.4])):
+            for m in (10, 100, 4097):
+                r = evaluate(spec, terms=m, accelerate=False)
+                assert r.error_bound == truncation_bound(spec, m)
+                assert r.value == sum_truncated(spec, m)
 
 
 class TestAcceleration:
