@@ -102,8 +102,9 @@ def small_argument_coeff(nu: float, a: float) -> float:
 
     (a/2)^nu / Gamma(nu+1) for nu not a negative integer, else
     (-1)^n (a/2)^n / n! with n = |nu| (the first surviving series term).
-    Where the power or the Gamma function overflows the ratio is formed in
-    log space; a ratio beyond the float range raises DomainError.
+    Where the power or the Gamma function leaves the float range (Gamma
+    underflows to +-0 below nu = -170) the ratio is formed in log space; a
+    ratio beyond the float range raises DomainError.
     """
     v = float(nu)
     negint = classify_order(v) is OrderKind.NEGATIVE_INTEGER
@@ -112,8 +113,10 @@ def small_argument_coeff(nu: float, a: float) -> float:
     sign = -1.0 if negint and v % 2 else 1.0
     try:
         return sign * (a / 2.0) ** v / (math.factorial(int(v)) if negint else math.gamma(v + 1.0))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         log_c = v * math.log(a / 2.0) - math.lgamma(v + 1.0)
+        if v < -1.0:  # Gamma(v+1) < 0 on alternate unit intervals; its zero keeps the sign
+            sign = math.copysign(1.0, math.gamma(v + 1.0))
     try:
         return sign * math.exp(log_c)
     except OverflowError:

@@ -75,12 +75,17 @@ class TestCompute:
 
     @pytest.mark.parametrize(
         "nu, a, k",
-        [("200.5", "0.5", "0"), ("50,50", "1e10,1", "0"), ("0.3,0.3,0.3,0.2", "1e300,1,1,1", "1")],
+        [
+            ("200.5", "0.5", "0"),
+            ("-180.5,200", "1,1", "0"),
+            ("50,50", "1e10,1", "0"),
+            ("0.3,0.3,0.3,0.2", "1e300,1,1,1", "1"),
+        ],
     )
     def test_float_range_overflow_ends_typed(self, capsys, nu, a, k):
-        # Gamma(201.5) overflows a double, the rescale prefactor A^99
-        # overflows and A^-1.9 underflows: a value or exit 2, never an
-        # internal error, and fast
+        # Gamma(201.5) overflows a double and Gamma(-179.5) underflows, the
+        # rescale prefactor A^99 overflows and A^-1.9 underflows: a value or
+        # exit 2, never an internal error, and fast
         start = time.perf_counter()
         rc = main(["compute", f"--nu={nu}", f"--a={a}", f"--k={k}"])
         elapsed = time.perf_counter() - start

@@ -196,9 +196,13 @@ def test_small_argument_coeff_unchanged_below_overflow():
     assert small_argument_coeff(-170.0, 3.0) == 1.5**170 / math.factorial(170)
 
 
-@pytest.mark.parametrize("nu, a", [(200.5, 0.5), (180.5, 300.0), (-200.0, 300.0), (-201.0, 300.0)])
+@pytest.mark.parametrize(
+    "nu, a",
+    [(200.5, 0.5), (180.5, 300.0), (-200.0, 300.0), (-201.0, 300.0), (-180.5, 6.0), (-181.5, 6.0)],
+)
 def test_small_argument_coeff_past_gamma_overflow(nu, a):
-    # Gamma(nu+1) (or n!) overflows a double; the ratio is formed in log space
+    # Gamma(nu+1) (or n!) overflows a double, or underflows to -+0 for
+    # nu < -170; the ratio is formed in log space
     n = abs(nu) if nu == round(nu) and nu < 0 else nu
     ref = (mp.mpf(a) / 2) ** n / mp.gamma(n + 1)
     if nu == round(nu) and nu < 0 and int(n) % 2:
