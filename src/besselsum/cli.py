@@ -226,6 +226,8 @@ def run_sweep(
     """One row per b: raw truncated sum, quadrature value, their gap, validity."""
     if not 0 <= vary < template.n_factors:
         raise ConfigError(f"vary index {vary} out of range for N={template.n_factors}")
+    if terms < 0:
+        raise ConfigError(f"terms must be non-negative, got {terms}")
     others = math.fsum(a for i, a in enumerate(template.scales) if i != vary)
     b_star = TWO_PI - others
     rows = []

@@ -95,6 +95,15 @@ def _check_panels(count: float, name: str, limit: float) -> None:
         )
 
 
+def _tail_constant(spec: BesselProductSpec) -> tuple[float, float]:
+    """(p, C_env/(p-1)) of the envelope tail C_env t^(-p), p = lam + N/2;
+    the constant is nan for p <= 1, where the tail diverges."""
+    p = spec.lam + spec.n_factors / 2.0
+    if p <= 1.0:
+        return p, math.nan
+    return p, summation.envelope_constant(spec) / (p - 1.0)
+
+
 def tail_bound(spec: BesselProductSpec, t_max: float) -> tuple[float, bool]:
     """Envelope bound on the discarded tail beyond t_max.
 
@@ -102,10 +111,9 @@ def tail_bound(spec: BesselProductSpec, t_max: float) -> tuple[float, bool]:
     p = lam + N/2 > 1.  For p <= 1 the envelope tail diverges and the bound
     is reported as zero with the flagged bit set.
     """
-    p = spec.lam + spec.n_factors / 2.0
+    p, c = _tail_constant(spec)
     if p <= 1.0:
         return 0.0, True
-    c = summation.envelope_constant(spec) / (p - 1.0)
     return c * t_max ** (1.0 - p), False
 
 
@@ -114,10 +122,9 @@ def t_max_for_tail(spec: BesselProductSpec, tail_tol: float, cap: float = 2e4) -
 
     For p <= 1 (flagged zero tail bound) the cap is returned directly.
     """
-    p = spec.lam + spec.n_factors / 2.0
+    p, c = _tail_constant(spec)
     if p <= 1.0:
         return cap
-    c = summation.envelope_constant(spec) / (p - 1.0)
     if c <= tail_tol:
         return min(50.0, cap)
     # log space: the exponent 1/(p-1) blows up as p -> 1+

@@ -11,6 +11,7 @@ import pytest
 
 from besselsum import cli, identity, summation
 from besselsum.cli import CliError, main, parse_number, read_sweep_csv
+from besselsum.errors import ConfigError
 
 PI = math.pi
 
@@ -265,6 +266,22 @@ class TestSweep:
             ]
         )
         assert rc == 2
+
+    def test_negative_terms_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "sweep",
+                "--nu", "0.5,1.5", "--a", "pi/16,1.0",
+                "--vary", "1", "--range", "0.1:6.0:3",
+                "--terms", "-5", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "terms must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError):
+            cli.run_sweep(identity.make_spec(0, [0.5, 1.5], [PI / 16, 1.0]), 1, [1.0], terms=-1)
 
 
 class TestCompare:

@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.special import spherical_jn
 
-from besselsum import specfun
+from besselsum import specfun, summation
 from besselsum.errors import DivergentAtZero, DomainError
 from besselsum.specfun import (
     OrderKind,
@@ -17,6 +19,28 @@ from besselsum.specfun import (
 )
 
 mp.mp.dps = 30
+
+K = specfun._HANKEL_TERMS
+EPS = np.finfo(float).eps
+
+#: orders in [-3, 12]: integers (negative ones included), half-integers, generic
+ORDERS = st.one_of(
+    st.integers(-3, 12).map(float),
+    st.integers(-3, 11).map(lambda n: n + 0.5),
+    st.floats(-3.0, 12.0),
+)
+
+
+def hankel_x0(nu: float) -> float:
+    return specfun._hankel_x0(nu, specfun._hankel_coeffs(nu, K + 1)[-1])
+
+
+def scipy_j(nu: float, x: np.ndarray) -> np.ndarray:
+    """scipy.special.jv with jv_array's reflection of negative integer orders."""
+    if classify_order(nu) is OrderKind.NEGATIVE_INTEGER:
+        n = -round(nu)
+        return -special.jv(float(n), x) if n % 2 else special.jv(float(n), x)
+    return special.jv(nu, x)
 
 
 class TestOrderClassification:
@@ -129,6 +153,99 @@ class TestBesselJ:
                 envelope = math.sqrt(2.0 / (math.pi * x))
                 asym = envelope * math.cos(x - nu * math.pi / 2.0 - math.pi / 4.0)
                 assert abs(bessel_j(nu, x) - asym) <= 2.0 * envelope / x
+
+
+class TestJvKernel:
+    """jv_array: the Hankel expansion (DLMF 10.17.3) from x0(nu) up,
+    scipy.special.jv below."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ORDERS, st.floats(0.0, 1.0))
+    def test_hankel_against_mpmath(self, nu, frac):
+        x0 = hankel_x0(nu)
+        x = x0 * (4e6 / x0) ** frac  # log-uniform over [x0, 4e6]
+        got = specfun.jv_array(nu, np.array([x]))[0]
+        ref = float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
+        scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x)))
+        assert abs(got - ref) <= 1e-14 * scale, (nu, x, got, ref)
+
+    @pytest.mark.parametrize(
+        "nu", [0.0, 1.0, -1.0, -3.0, 2.0, 12.0, 0.5, -1.5, 11.5, 0.3, -2.7, 12.4,
+               12.5, 13.0, -14.0, 20.5],
+    )
+    def test_scipy_below_x0_bit_for_bit(self, nu):
+        x0 = hankel_x0(nu)
+        top = x0 if math.isfinite(x0) else 1e6  # |nu| > K + 1/2: scipy everywhere
+        xs = np.concatenate([top * np.linspace(1e-3, 1.0, 500, endpoint=False),
+                             [math.nextafter(top, 0.0)]])
+        assert specfun.jv_array(nu, xs).tobytes() == scipy_j(nu, xs).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(ORDERS, st.floats(-12.5, 12.5)))
+    def test_x0_bounds_first_neglected_term(self, nu):
+        a_k = specfun._hankel_coeffs(nu, K + 1)[-1]
+        x0 = hankel_x0(nu)
+        assert abs(a_k) / x0**K <= EPS / 8
+        floor = max(abs(nu), 1.0)
+        assert x0 >= floor
+        if x0 > floor:  # set by the term, so the smallest such x
+            assert abs(a_k) / (x0 * (1.0 - 1e-12)) ** K > EPS / 8
+
+    def test_x0_terminating_and_out_of_reach(self):
+        # half-integer orders up to K - 1/2: a_K = 0, the expansion is exact
+        for n in range(-K, K):
+            assert hankel_x0(n + 0.5) == max(abs(n + 0.5), 1.0)
+        # DLMF 10.17(iii) bounds the K-term remainder only for |nu| <= K + 1/2
+        assert math.isfinite(hankel_x0(K + 0.5))
+        for nu in (K + 0.5 + 1e-9, -(K + 1.0), 30.0):
+            assert hankel_x0(nu) == math.inf
+
+    @pytest.mark.parametrize("nu", [Fraction(0), Fraction(1), Fraction(-3, 10), Fraction(7, 2),
+                                    Fraction(25, 2), Fraction(12)])
+    def test_coefficients_against_exact_product(self, nu):
+        # a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k), DLMF 10.17.1
+        got = specfun._hankel_coeffs(float(nu), K + 2)
+        exact = Fraction(1)
+        for k in range(K + 2):
+            if k:
+                exact *= (4 * nu * nu - (2 * k - 1) ** 2) / Fraction(8 * k)
+            assert got[k] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ORDERS, st.lists(st.floats(1e-3, 4e6), min_size=1, max_size=40))
+    def test_value_depends_on_the_point_only(self, nu, xs):
+        # mixed arrays, split between the two paths, equal one-point calls
+        xs = np.array(xs + [hankel_x0(nu)])
+        whole = specfun.jv_array(nu, xs)
+        singles = np.array([specfun.jv_array(nu, xs[i : i + 1])[0] for i in range(len(xs))])
+        assert whole.tobytes() == singles.tobytes()
+        assert all(bessel_j(nu, x) == v for x, v in zip(xs, whole))
+
+
+#: deep_sum's five spec shapes: (k, orders, scales)
+DEEP_SHAPES = [
+    (0, (0.5, 1.5), (3 * math.pi / 16, 0.5 * (2 * math.pi - 3 * math.pi / 16))),
+    (2, (0.0, 1.0, 2.0), (math.pi / 16, math.pi / 16, 0.7 * (2 * math.pi - math.pi / 8))),
+    (-1, (-1.5, -1.0, 0.5, 0.0), (5 * math.pi / 16,) * 3 + (0.3 * (2 * math.pi - 15 * math.pi / 16),)),
+    (0, (0.5,), (2.2,)),
+    (1, (1.5, 1.5), (1.0, 0.6)),
+]
+
+
+@pytest.mark.parametrize("k, nus, scales", DEEP_SHAPES)
+def test_sum_kernel_against_scipy_terms(k, nus, scales):
+    # the blocked sum over 1e5 Hankel-kernel terms stays within the
+    # 1e-14 * sum|terms| contract of an fsum of scipy.special.jv terms
+    M = 10**5
+    lam = math.fsum(nus) - 2 * k
+    m = np.arange(1, M + 1, dtype=float)
+    terms = m ** (-lam)
+    for nu, a in zip(nus, scales):
+        terms = terms * special.jv(nu, a * m)
+    m0 = summation.sum_power_product(nus, scales, lam, 0)
+    ref = math.fsum([m0, *terms])
+    got = summation.sum_power_product(nus, scales, lam, M)
+    assert abs(got - ref) <= 1e-14 * math.fsum(np.abs(terms))
 
 
 class TestBesselI:
