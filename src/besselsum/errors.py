@@ -10,7 +10,8 @@ class DivergentAtZero(DomainError):
 
 
 class SizeError(ValueError):
-    """Problem size exceeds a hard enumeration bound."""
+    """The work a request needs exceeds a hard cap: beat-table sums, partial-sum
+    terms or quadrature panels.  Raised before any of it is built."""
 
 
 class ConfigError(ValueError):

@@ -16,7 +16,6 @@ All operations are pure functions over immutable specs.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,8 +31,8 @@ TWO_PI = 2.0 * math.pi
 BOUNDARY_RTOL = 1e-12
 #: relative tolerance (times sum of scales) for a zero beat frequency
 BEAT_RTOL = 1e-12
-#: beat enumeration is exhaustive over 2^(N-1) sign vectors
-MAX_BEAT_FACTORS = 30
+#: cap on the 2^(N-1) signed sums of the beat table, so N <= 20
+MAX_SIGNED_SUMS = 2**19
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,7 @@ class BesselProductSpec:
         Equals 2k + sum over negative-integer orders of (|nu| - nu); the
         t -> 0 limit exists iff this is >= 0 and is nonzero only at 0.
         """
-        extra = math.fsum(
-            abs(self.factors[i].nu) - self.factors[i].nu
-            for i in self.negative_integer_indices()
-        )
-        return 2.0 * self.k + extra
+        return _zero_exponent(self.nus, self.lam)
 
     def to_dict(self) -> dict:
         return {
@@ -182,36 +177,50 @@ class ValidityReport:
         }
 
 
+def _signed_sums(scales) -> tuple[list[float], float]:
+    """All sums sum_j s_j a_j with s_0 = +1, and the zero-beat tolerance.
+
+    The 2^(N-1) sums come in itertools.product order over s_1..s_{N-1} in
+    (+1, -1): bit N-1-j of an index is set where s_j = -1.  Each is formed
+    exactly, from the scales as integers times a common power of two, and
+    rounded to float once, so it equals fsum's correctly rounded value.
+    """
+    ratios = [float(x).as_integer_ratio() for x in scales]
+    count = 1 << (len(ratios) - 1)
+    if count > MAX_SIGNED_SUMS:
+        raise SizeError(f"N = {len(ratios)} factors give {count} signed sums, beyond the cap "
+                        f"of {MAX_SIGNED_SUMS} (N <= {MAX_SIGNED_SUMS.bit_length()})")
+    den = max([d for _, d in ratios])  # a power of two
+    ints = [num * (den // d) for num, d in ratios]
+    sums = ints[:1]
+    for aj in ints[1:]:
+        sums = [t + d for t in sums for d in (aj, -aj)]
+    total = sum(map(abs, ints))  # sum |a_j|, rounded once as fsum would
+    if den <= 1 << 1022 and total.bit_length() <= 1023:
+        # float(s) is correctly rounded and the power-of-two scaling is exact
+        f = 1.0 / den
+        return [float(s) * f for s in sums], BEAT_RTOL * (float(total) * f)
+    return [s / den for s in sums], BEAT_RTOL * (total / den)  # correctly rounded
+
+
 def beat_exists(scales) -> tuple[int, ...] | None:
     """Search for a sign vector s in {+-1}^N with sum s_j a_j = 0.
 
-    Enumerates the 2^(N-1) patterns with s_0 = +1 (negating a witness gives
+    Scans the 2^(N-1) patterns with s_0 = +1 (negating a witness gives
     another witness).  Returns the first witness found, or None.
     """
-    a = tuple(float(x) for x in scales)
-    n = len(a)
-    if n > MAX_BEAT_FACTORS:
-        raise SizeError(f"beat enumeration bounded at N={MAX_BEAT_FACTORS}, got {n}")
-    tol = BEAT_RTOL * math.fsum(abs(x) for x in a)
-    for signs in itertools.product((1, -1), repeat=n - 1):
-        s = (1,) + signs
-        if abs(math.fsum(sj * aj for sj, aj in zip(s, a))) <= tol:
-            return s
+    sums, tol = _signed_sums(scales)
+    n = len(sums).bit_length()
+    for i, v in enumerate(sums):
+        if abs(v) <= tol:
+            return (1,) + tuple(-1 if i >> (n - 1 - j) & 1 else 1 for j in range(1, n))
     return None
 
 
 def beat_frequencies(scales) -> tuple[float, ...]:
     """Distinct |sum s_j a_j| over all sign vectors, ascending (0 included if a beat exists)."""
-    a = tuple(float(x) for x in scales)
-    n = len(a)
-    if n > MAX_BEAT_FACTORS:
-        raise SizeError(f"beat enumeration bounded at N={MAX_BEAT_FACTORS}, got {n}")
-    tol = BEAT_RTOL * math.fsum(abs(x) for x in a)
-    out = set()
-    for signs in itertools.product((1, -1), repeat=n - 1):
-        s = abs(math.fsum(sj * aj for sj, aj in zip((1,) + signs, a)))
-        out.add(0.0 if s <= tol else s)
-    return tuple(sorted(out))
+    sums, tol = _signed_sums(scales)
+    return tuple(sorted({0.0 if abs(v) <= tol else abs(v) for v in sums}))
 
 
 def aliased_beat_frequencies(scales) -> tuple[float, ...]:
@@ -248,86 +257,44 @@ def check_validity(spec: BesselProductSpec) -> ValidityReport:
     sum_a = spec.sum_scales
     neg_set = spec.negative_integer_indices()
     rules: list[Rule] = []
-    ok = True
 
     # R1: non-negative k, relaxed by negative-integer orders
     k_min = -math.fsum(abs(spec.factors[i].nu) for i in neg_set)
     if neg_set:
-        rules.append(
-            Rule(
-                "R1-neg-int",
-                f"negative-integer orders at indices {list(neg_set)} relax the "
-                f"k-condition to k >= {k_min:g}",
-            )
-        )
+        rules.append(Rule("R1-neg-int", f"negative-integer orders at indices {list(neg_set)} "
+                          f"relax the k-condition to k >= {k_min:g}"))
     if spec.k < k_min:
-        ok = False
-        rules.append(
-            Rule(
-                "R1",
-                f"k = {spec.k} violates k >= {k_min:g} (t -> 0 limit of the "
-                f"integrand diverges)",
-                violated=True,
-            )
-        )
+        rules.append(Rule("R1", f"k = {spec.k} violates k >= {k_min:g} (t -> 0 limit of the "
+                          "integrand diverges)", violated=True))
 
     # R2: scales budget
     on_boundary = abs(sum_a - TWO_PI) <= BOUNDARY_RTOL * TWO_PI
     needs_rescale = (not on_boundary) and sum_a > TWO_PI
     if needs_rescale:
-        ok = False
-        rules.append(
-            Rule(
-                "R2",
-                f"sum of scales {sum_a:.6g} exceeds 2*pi = {TWO_PI:.6g}; "
-                f"rescale before summing",
-                violated=True,
-            )
-        )
+        rules.append(Rule("R2", f"sum of scales {sum_a:.6g} exceeds 2*pi = {TWO_PI:.6g}; "
+                          "rescale before summing", violated=True))
     elif on_boundary:
-        rules.append(
-            Rule(
-                "R2-boundary",
-                "sum of scales equals 2*pi (within tolerance); the strict "
-                "order condition R4 applies",
-            )
-        )
+        rules.append(Rule("R2-boundary", "sum of scales equals 2*pi (within tolerance); the "
+                          "strict order condition R4 applies"))
 
     # R3: order sum against the base threshold
     base = 2.0 * spec.k - n / 2.0
     if not sum_nu > base:
-        ok = False
-        rules.append(
-            Rule(
-                "R3",
-                f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 = {base:.6g}",
-                violated=True,
-            )
-        )
+        rules.append(Rule("R3", f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 = {base:.6g}",
+                          violated=True))
 
     # R4: strict threshold on the boundary or with a zero beat
     witness = beat_exists(spec.scales)
     if witness is not None:
-        rules.append(
-            Rule(
-                "R4-beat",
-                f"zero beat frequency: sign vector {list(witness)} gives "
-                f"sum s_j a_j = 0; the strict order condition applies",
-            )
-        )
-    strict = 2.0 * spec.k - n / 2.0 + 1.0
-    strict_needed = on_boundary or witness is not None
-    if strict_needed and not sum_nu > strict:
-        ok = False
-        rules.append(
-            Rule(
-                "R4",
-                f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 + 1 = {strict:.6g} "
-                f"on the 2*pi boundary or with a zero beat",
-                violated=True,
-            )
-        )
+        rules.append(Rule("R4-beat", f"zero beat frequency: sign vector {list(witness)} gives "
+                          "sum s_j a_j = 0; the strict order condition applies"))
+    strict = base + 1.0
+    if (on_boundary or witness is not None) and not sum_nu > strict:
+        rules.append(Rule("R4", f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 + 1 = "
+                          f"{strict:.6g} on the 2*pi boundary or with a zero beat",
+                          violated=True))
 
+    ok = not any(r.violated for r in rules)
     if not ok:
         klass = ConvergenceClass.INVALID
     elif sum_nu > strict:
@@ -346,23 +313,16 @@ def check_validity(spec: BesselProductSpec) -> ValidityReport:
 
 
 def integrand_conditions_ok(spec: BesselProductSpec) -> tuple[bool, str]:
-    """Existence conditions for the integral alone (R2 not required).
+    """Existence conditions for the integral alone: ``check_validity``'s.
 
-    The oracle integral exists when the t -> 0 limit does (zero-limit
-    exponent >= 0), Re(lam) > -N/2, and the strict Re(lam) > 1 - N/2 when a
-    zero beat frequency makes part of the integrand non-oscillatory.
+    Returns (ok, reasons) from the violated rules, less the two that bind
+    only the sum: R2 (the 2*pi budget) and R4 when no zero beat triggers it
+    (the 2*pi boundary, where the sampling, not the integrand, needs it).
     """
-    if spec.zero_exponent() < -BOUNDARY_RTOL:
-        return False, "integrand diverges at t = 0 (negative zero-limit exponent)"
-    n = spec.n_factors
-    if not spec.lam > -n / 2.0:
-        return False, f"lam = {spec.lam:.6g} must exceed -N/2 = {-n / 2.0:.6g}"
-    if beat_exists(spec.scales) is not None and not spec.lam > 1.0 - n / 2.0:
-        return False, (
-            f"zero beat present: lam = {spec.lam:.6g} must exceed "
-            f"1 - N/2 = {1.0 - n / 2.0:.6g}"
-        )
-    return True, ""
+    report = check_validity(spec)
+    sum_only = ("R2",) if report.beat_witness is not None else ("R2", "R4")
+    reasons = [r.text for r in report.triggered_rules if r.violated and r.ident not in sum_only]
+    return not reasons, "; ".join(reasons)
 
 
 def rescale(spec: BesselProductSpec) -> tuple[BesselProductSpec, float, float]:
@@ -396,13 +356,23 @@ def rescale(spec: BesselProductSpec) -> tuple[BesselProductSpec, float, float]:
 
 def zero_limit(spec: BesselProductSpec) -> float:
     """lim_{t->0} of the integrand."""
-    return power_product_zero_limit(spec.nus, spec.scales, spec.zero_exponent())
+    return power_product_zero_limit(spec.nus, spec.scales, spec.lam)
 
 
-def power_product_zero_limit(nus, scales, e: float) -> float:
-    """lim_{t->0} of t^(-lam) prod_j J_{nu_j}(a_j t), whose net power of t
-    there is e: 0 for e > 0, the product of leading small-argument
-    coefficients at e = 0."""
+def _zero_exponent(nus, lam: float) -> float:
+    """Net power of t as t -> 0 in t^(-lam) prod_j J_{nu_j}(a_j t):
+    sum(|nu| for negative-integer orders, nu otherwise) - lam."""
+    return math.fsum(
+        abs(v) if specfun.classify_order(v) is specfun.OrderKind.NEGATIVE_INTEGER else v
+        for v in nus
+    ) - lam
+
+
+def power_product_zero_limit(nus, scales, lam: float) -> float:
+    """lim_{t->0} of t^(-lam) prod_j J_{nu_j}(a_j t): 0 where its net power
+    of t is positive, the product of leading small-argument coefficients
+    where it is 0; InvalidSpec where it is negative."""
+    e = _zero_exponent(nus, lam)
     if e < -BOUNDARY_RTOL:
         raise InvalidSpec(
             f"integrand diverges at t = 0 (zero-limit exponent {e:g} < 0)"

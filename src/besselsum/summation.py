@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import identity, specfun
-from .errors import InvalidSpec, ToleranceUnreachable
+from . import identity
+from .errors import InvalidSpec, SizeError, ToleranceUnreachable
 from .identity import BesselProductSpec, ConvergenceClass
 
 #: fixed block size for deterministic blocked accumulation
 BLOCK = 4096
+#: cap on the terms of one partial sum (a 128 MiB term array)
+MAX_TERMS = 2**24
 
 #: applications of the averaging operator per beat frequency
 _ACCEL_REPS = 3
@@ -71,6 +73,8 @@ def _require_valid(spec: BesselProductSpec) -> identity.ValidityReport:
 
 def _terms(nus, scales, lam: float, m_max: int) -> np.ndarray:
     """Summand terms for m = 1..m_max, computed in ascending 4096-blocks."""
+    if m_max > MAX_TERMS:
+        raise SizeError(f"{m_max} terms requested, beyond the cap of {MAX_TERMS}")
     out = np.empty(m_max)
     for lo in range(1, m_max + 1, BLOCK):
         hi = min(lo + BLOCK - 1, m_max)
@@ -97,11 +101,7 @@ def sum_power_product(nus, scales, lam: float, terms: int) -> float:
     """
     nus = tuple(float(v) for v in nus)
     scales = tuple(float(a) for a in scales)
-    e = math.fsum(
-        (abs(v) if specfun.classify_order(v) is specfun.OrderKind.NEGATIVE_INTEGER else v)
-        for v in nus
-    ) - lam
-    m0 = 0.5 * identity.power_product_zero_limit(nus, scales, e)
+    m0 = 0.5 * identity.power_product_zero_limit(nus, scales, lam)
     return _blocked_sum(m0, _terms(nus, scales, lam, max(int(terms), 0)))
 
 

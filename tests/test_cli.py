@@ -95,6 +95,17 @@ class TestCompute:
         assert rc == 2 or "value = " in out
         assert elapsed < 1.0
 
+    def test_terms_beyond_the_cap_exit_2(self, capsys):
+        rc = main(["compute", "--nu", "0.5", "--a", "1.0", "--terms", "1000000000000"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "error: 1000000000000 terms requested, beyond the cap of 16777216\n"
+
+    def test_factors_beyond_the_beat_table_exit_2(self, capsys):
+        rc = main(["validate", "--nu", ",".join(["1.5"] * 21), "--a", ",".join(["0.1"] * 21)])
+        assert rc == 2
+        assert "N = 21 factors" in capsys.readouterr().err
+
     def test_invalid_spec_exit_2(self, capsys):
         rc = main(["compute", "--nu", "0.0", "--a", "1.0", "--k", "1"])
         assert rc == 2
@@ -282,6 +293,21 @@ class TestSweep:
         assert not out.exists()
         with pytest.raises(ConfigError):
             cli.run_sweep(identity.make_spec(0, [0.5, 1.5], [PI / 16, 1.0]), 1, [1.0], terms=-1)
+
+
+    def test_terms_beyond_the_cap_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "sweep",
+                "--nu", "0.5,1.5", "--a", "pi/16,1.0",
+                "--vary", "1", "--range", "0.1:6.0:3",
+                "--terms", "1000000000000", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "beyond the cap of" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

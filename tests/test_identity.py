@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from besselsum.identity import (
     beat_frequencies,
     check_validity,
     integrand,
+    integrand_conditions_ok,
     make_spec,
     rescale,
     summand,
@@ -63,6 +65,27 @@ class TestSpecType:
         assert spec.lam == spec.sum_nu - 2 * spec.k
 
 
+def _oracle_signed_sums(a):
+    """(s, fsum of s_j a_j) for every sign vector s with s_0 = +1, in
+    itertools.product order."""
+    return [
+        ((1,) + signs, math.fsum(s * x for s, x in zip((1,) + signs, a)))
+        for signs in itertools.product((1, -1), repeat=len(a) - 1)
+    ]
+
+
+_scale_lists = st.one_of(
+    st.lists(st.floats(min_value=0.01, max_value=6.0), min_size=1, max_size=8),
+    # integer multiples of one unit: many exact and near beats
+    st.tuples(
+        st.sampled_from([0.1, 0.25, 1.0 / 3.0, PI / 16, 0.7]),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
+    ).map(lambda t: [t[0] * m for m in t[1]]),
+    # wide magnitudes, subnormals included
+    st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=1, max_size=8),
+)
+
+
 class TestBeats:
     def test_equal_pair(self):
         w = beat_exists([1.0, 1.0])
@@ -87,6 +110,33 @@ class TestBeats:
     def test_size_bound(self):
         with pytest.raises(SizeError):
             beat_exists([1.0] * 31)
+
+    def test_size_cap_raises_before_building(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeError, match="N = 21 factors give 1048576 signed sums"):
+            beat_exists([1.0] * 21)
+        with pytest.raises(SizeError):
+            beat_frequencies([0.1] * 21)
+        with pytest.raises(SizeError):
+            check_validity(make_spec(0, [1.5] * 21, [0.1] * 21))
+        assert time.perf_counter() - start < 0.1
+
+    def test_size_cap_admits_the_capped_table(self, monkeypatch):
+        assert identity.MAX_SIGNED_SUMS == 2**19  # N <= 20
+        monkeypatch.setattr(identity, "MAX_SIGNED_SUMS", 8)
+        assert beat_exists([1.0, 2.0, 4.0, 7.0]) == (1, 1, 1, -1)
+        with pytest.raises(SizeError):
+            beat_exists([1.0, 2.0, 4.0, 8.0, 15.0])
+
+    @given(_scale_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_the_fsum_oracle(self, scales):
+        # bit for bit: the first witness in product order and the sorted set
+        table = _oracle_signed_sums(scales)
+        tol = identity.BEAT_RTOL * math.fsum(abs(x) for x in scales)
+        assert beat_exists(scales) == next((s for s, v in table if abs(v) <= tol), None)
+        expected = sorted({0.0 if abs(v) <= tol else abs(v) for _, v in table})
+        assert [f.hex() for f in beat_frequencies(scales)] == [f.hex() for f in expected]
 
     def test_frequencies_contain_total(self):
         freqs = beat_frequencies([1.0, 0.7])
@@ -176,6 +226,65 @@ class TestValidity:
         if any(r.ident == "R3" and r.violated for r in base.triggered_rules):
             nxt = check_validity(make_spec(k + 1, nus, scales))
             assert any(r.ident == "R3" and r.violated for r in nxt.triggered_rules)
+
+
+def _old_integral_ok(spec):
+    """The integral's own three conditions: zero-limit exponent >= 0, lam > -N/2,
+    and lam > 1 - N/2 when a zero beat exists."""
+    n = spec.n_factors
+    neg_int = [v for v in spec.nus if v < 0 and v == int(v)]
+    if 2 * spec.k + math.fsum(abs(v) - v for v in neg_int) < -1e-12:
+        return False
+    if not spec.lam > -n / 2.0:
+        return False
+    return beat_exists(spec.scales) is None or spec.lam > 1.0 - n / 2.0
+
+
+@st.composite
+def _integral_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=-2, max_value=2))
+    nus = draw(st.lists(
+        st.sampled_from([-3.0, -2.0, -1.0, -1.5, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5]),
+        min_size=n, max_size=n,
+    ))
+    kind = draw(st.sampled_from(["random", "beats", "boundary", "rescaled"]))
+    if kind == "beats":
+        unit = draw(st.sampled_from([0.25, PI / 16, 0.3]))
+        scales = [unit * draw(st.integers(min_value=1, max_value=4)) for _ in range(n)]
+    else:
+        hi = 3.0 if kind == "rescaled" else 1.2
+        scales = draw(st.lists(st.floats(min_value=0.05, max_value=hi), min_size=n, max_size=n))
+        if kind == "boundary":
+            head = [a * (PI / n) for a in scales[:-1]]
+            scales = head + [2 * PI - math.fsum(head)]
+    return make_spec(k, nus, scales)
+
+
+class TestIntegralConditions:
+    @given(_integral_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_reading_of_check_validity_equals_the_three_conditions(self, spec):
+        ok, reason = integrand_conditions_ok(spec)
+        assert ok == _old_integral_ok(spec)
+        assert (reason == "") == ok
+
+    def test_boundary_without_beat_binds_only_the_sum(self):
+        spec = make_spec(0, [0.3, -0.3], [PI / 2, 1.5 * PI])
+        report = check_validity(spec)
+        assert report.beat_witness is None
+        assert [r.ident for r in report.triggered_rules if r.violated] == ["R4"]
+        assert integrand_conditions_ok(spec) == (True, "")
+
+    def test_zero_beat_binds_the_integral_too(self):
+        spec = make_spec(0, [0.3, -0.3], [PI, PI])
+        ok, reason = integrand_conditions_ok(spec)
+        assert not ok and "zero beat" in reason
+
+    def test_budget_binds_only_the_sum(self):
+        spec = make_spec(0, [0.5, 1.5], [1.5 * PI, 1.5 * PI])
+        assert not check_validity(spec).valid
+        assert integrand_conditions_ok(spec) == (True, "")
 
 
 class TestRescale:

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma, hyp2f1
 
 from besselsum import identity, summation
-from besselsum.errors import InvalidSpec, ToleranceUnreachable
+from besselsum.errors import InvalidSpec, SizeError, ToleranceUnreachable
 from besselsum.identity import ConvergenceClass, make_spec
 from besselsum.summation import (
     evaluate,
@@ -220,6 +220,23 @@ class TestOneAnalysis:
                 r = evaluate(spec, terms=m, accelerate=False)
                 assert r.error_bound == truncation_bound(spec, m)
                 assert r.value == sum_truncated(spec, m)
+
+
+@pytest.mark.parametrize("terms", [summation.MAX_TERMS + 1, 10**12])
+def test_term_count_beyond_the_cap_is_a_size_error(terms):
+    # raised before the term array is allocated, naming M and the cap
+    spec = make_spec(0, [0.5], [1.0])
+    msg = f"{terms} terms requested, beyond the cap of {summation.MAX_TERMS}"
+    with pytest.raises(SizeError, match=msg):
+        evaluate(spec, terms=terms)
+    with pytest.raises(SizeError, match=msg):
+        evaluate(spec, terms=terms, accelerate=False)
+    with pytest.raises(SizeError, match=msg):
+        evaluate(spec, tol=1e-15, m_max=terms)
+    with pytest.raises(SizeError, match=msg):
+        summation.sum_power_product((0.5,), (1.0,), 0.5, terms)
+    with pytest.raises(SizeError, match=msg):
+        sum_truncated(spec, terms)
 
 
 class TestAcceleration:
