@@ -196,11 +196,8 @@ def _signed_sums(scales) -> tuple[list[float], float]:
     for aj in ints[1:]:
         sums = [t + d for t in sums for d in (aj, -aj)]
     total = sum(map(abs, ints))  # sum |a_j|, rounded once as fsum would
-    if den <= 1 << 1022 and total.bit_length() <= 1023:
-        # float(s) is correctly rounded and the power-of-two scaling is exact
-        f = 1.0 / den
-        return [float(s) * f for s in sums], BEAT_RTOL * (float(total) * f)
-    return [s / den for s in sums], BEAT_RTOL * (total / den)  # correctly rounded
+    # int / int true division is correctly rounded, subnormal results included
+    return [s / den for s in sums], BEAT_RTOL * (total / den)
 
 
 def beat_exists(scales) -> tuple[int, ...] | None:
@@ -243,7 +240,8 @@ def check_validity(spec: BesselProductSpec) -> ValidityReport:
 
     Rules:
       R1  k >= 0, relaxed to k >= -sum_{j in J} |nu_j| when the set J of
-          negative-integer orders is non-empty (zero-limit exponent >= 0).
+          negative-integer orders is non-empty: the zero-limit exponent
+          (``zero_exponent``) must be >= 0, to within BOUNDARY_RTOL.
       R2  sum of scales <= 2*pi, otherwise the spec must be rescaled first.
       R3  sum(nu) > 2k - N/2.
       R4  the stricter sum(nu) > 2k - N/2 + 1, required when the scales sit
@@ -261,38 +259,76 @@ def check_validity(spec: BesselProductSpec) -> ValidityReport:
     # R1: non-negative k, relaxed by negative-integer orders
     k_min = -math.fsum(abs(spec.factors[i].nu) for i in neg_set)
     if neg_set:
-        rules.append(Rule("R1-neg-int", f"negative-integer orders at indices {list(neg_set)} "
-                          f"relax the k-condition to k >= {k_min:g}"))
-    if spec.k < k_min:
-        rules.append(Rule("R1", f"k = {spec.k} violates k >= {k_min:g} (t -> 0 limit of the "
-                          "integrand diverges)", violated=True))
+        rules.append(
+            Rule(
+                "R1-neg-int",
+                f"negative-integer orders at indices {list(neg_set)} relax the "
+                f"k-condition to k >= {k_min:g}",
+            )
+        )
+    if spec.zero_exponent() < -BOUNDARY_RTOL:
+        rules.append(
+            Rule(
+                "R1",
+                f"k = {spec.k} violates k >= {k_min:g} (t -> 0 limit of the "
+                f"integrand diverges)",
+                violated=True,
+            )
+        )
 
     # R2: scales budget
     on_boundary = abs(sum_a - TWO_PI) <= BOUNDARY_RTOL * TWO_PI
     needs_rescale = (not on_boundary) and sum_a > TWO_PI
     if needs_rescale:
-        rules.append(Rule("R2", f"sum of scales {sum_a:.6g} exceeds 2*pi = {TWO_PI:.6g}; "
-                          "rescale before summing", violated=True))
+        rules.append(
+            Rule(
+                "R2",
+                f"sum of scales {sum_a:.6g} exceeds 2*pi = {TWO_PI:.6g}; "
+                f"rescale before summing",
+                violated=True,
+            )
+        )
     elif on_boundary:
-        rules.append(Rule("R2-boundary", "sum of scales equals 2*pi (within tolerance); the "
-                          "strict order condition R4 applies"))
+        rules.append(
+            Rule(
+                "R2-boundary",
+                "sum of scales equals 2*pi (within tolerance); the strict "
+                "order condition R4 applies",
+            )
+        )
 
     # R3: order sum against the base threshold
     base = 2.0 * spec.k - n / 2.0
     if not sum_nu > base:
-        rules.append(Rule("R3", f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 = {base:.6g}",
-                          violated=True))
+        rules.append(
+            Rule(
+                "R3",
+                f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 = {base:.6g}",
+                violated=True,
+            )
+        )
 
     # R4: strict threshold on the boundary or with a zero beat
     witness = beat_exists(spec.scales)
     if witness is not None:
-        rules.append(Rule("R4-beat", f"zero beat frequency: sign vector {list(witness)} gives "
-                          "sum s_j a_j = 0; the strict order condition applies"))
-    strict = base + 1.0
-    if (on_boundary or witness is not None) and not sum_nu > strict:
-        rules.append(Rule("R4", f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 + 1 = "
-                          f"{strict:.6g} on the 2*pi boundary or with a zero beat",
-                          violated=True))
+        rules.append(
+            Rule(
+                "R4-beat",
+                f"zero beat frequency: sign vector {list(witness)} gives "
+                f"sum s_j a_j = 0; the strict order condition applies",
+            )
+        )
+    strict = 2.0 * spec.k - n / 2.0 + 1.0
+    strict_needed = on_boundary or witness is not None
+    if strict_needed and not sum_nu > strict:
+        rules.append(
+            Rule(
+                "R4",
+                f"sum(nu) = {sum_nu:.6g} must exceed 2k - N/2 + 1 = {strict:.6g} "
+                f"on the 2*pi boundary or with a zero beat",
+                violated=True,
+            )
+        )
 
     ok = not any(r.violated for r in rules)
     if not ok:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from besselsum import identity
 from besselsum.errors import DomainError, InvalidSpec, SizeError
+from besselsum.specfun import OrderKind, classify_order
 from besselsum.identity import (
     BesselProductSpec,
     ConvergenceClass,
@@ -232,7 +233,7 @@ def _old_integral_ok(spec):
     """The integral's own three conditions: zero-limit exponent >= 0, lam > -N/2,
     and lam > 1 - N/2 when a zero beat exists."""
     n = spec.n_factors
-    neg_int = [v for v in spec.nus if v < 0 and v == int(v)]
+    neg_int = [v for v in spec.nus if classify_order(v) is OrderKind.NEGATIVE_INTEGER]
     if 2 * spec.k + math.fsum(abs(v) - v for v in neg_int) < -1e-12:
         return False
     if not spec.lam > -n / 2.0:
@@ -245,7 +246,9 @@ def _integral_specs(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     k = draw(st.integers(min_value=-2, max_value=2))
     nus = draw(st.lists(
-        st.sampled_from([-3.0, -2.0, -1.0, -1.5, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5]),
+        # orders within INTEGER_TOL of a negative integer count as one; -1.000001 does not
+        st.sampled_from([-3.0, -2.0, -1.0, -1.5, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5,
+                         -0.9999999999999, -2.0000000000004, -1.000001]),
         min_size=n, max_size=n,
     ))
     kind = draw(st.sampled_from(["random", "beats", "boundary", "rescaled"]))
@@ -280,6 +283,19 @@ class TestIntegralConditions:
         spec = make_spec(0, [0.3, -0.3], [PI, PI])
         ok, reason = integrand_conditions_ok(spec)
         assert not ok and "zero beat" in reason
+
+    def test_near_integer_order_at_the_relaxed_bound(self):
+        # -0.9999999999999 is a negative integer to classify_order; at k = -1 the
+        # zero-limit exponent is -2e-13, inside the tolerance, so the t -> 0 limit
+        # exists and R1 holds for the sum and the integral alike
+        spec = make_spec(-1, [-0.9999999999999, 0.5], [0.5, 1.0])
+        assert not any(r.ident == "R1" for r in check_validity(spec).triggered_rules)
+        assert integrand_conditions_ok(spec) == (True, "")
+        assert math.isfinite(identity.zero_limit(spec)) and identity.zero_limit(spec) != 0.0
+        below = make_spec(-2, [-0.9999999999999, 0.5], [0.5, 1.0])
+        assert any(r.ident == "R1" and r.violated for r in check_validity(below).triggered_rules)
+        with pytest.raises(InvalidSpec):
+            identity.zero_limit(below)
 
     def test_budget_binds_only_the_sum(self):
         spec = make_spec(0, [0.5, 1.5], [1.5 * PI, 1.5 * PI])
