@@ -257,7 +257,8 @@ def check_validity(spec: BesselProductSpec) -> ValidityReport:
     rules: list[Rule] = []
 
     # R1: non-negative k, relaxed by negative-integer orders
-    k_min = -math.fsum(abs(spec.factors[i].nu) for i in neg_set)
+    # 0.0 - x, not -x: with no negative-integer orders the bound reads 0, not -0
+    k_min = 0.0 - math.fsum(abs(spec.factors[i].nu) for i in neg_set)
     if neg_set:
         rules.append(
             Rule(

@@ -9,7 +9,11 @@ spec, and closes the sum-integral gap for generalized odd-parity inputs).
 its analytic bandwidth sum(a)/(2*pi).
 
 These oracles are method-independent from the summation module: plain
-truncation plus an envelope tail bound, never series acceleration.
+truncation plus an envelope tail bound, never series acceleration.  Their
+rules are fixed module constants, not settings: 16-node panels with an
+8-node pass for the error estimate, 35 clustered 32-node panels up to
+y = 20 for the correction, and 8192 samples at pi/(2 sum a) with a 5 %
+guard band for the band-limit check.
 """
 
 from __future__ import annotations
@@ -23,15 +27,21 @@ from . import identity, specfun, summation
 from .errors import ConfigError, DampingError, InvalidSpec, SizeError
 from .identity import TWO_PI, BesselProductSpec
 
-#: nodes_per_panel admissible range
-_NODES_RANGE = (8, 64)
 #: most panels one quadrature may allocate
 MAX_PANELS = 2**20
+#: Gauss-Legendre nodes per panel of the integrals, and of the node-halving
+#: pass whose difference is their error estimate
+_NODES, _COARSE_NODES = 16, 8
+#: the correction integral runs over (0, _Y_MAX] on _CORRECTION_PANELS panels
+#: clustered quadratically toward y = 0, _CORRECTION_NODES nodes each
+_Y_MAX, _CORRECTION_PANELS, _CORRECTION_NODES = 20.0, 35, 32
+#: band-limit samples, and the guard band beyond sum(a)/(2*pi)
+_BAND_SAMPLES, _BAND_GUARD = 8192, 0.05
 
-#: Gauss-Legendre (nodes, weights) for the node counts the defaults use:
-#: 16 and 8 in the integrals, 32 in the correction term.  Other counts are
-#: built on the call.
-_GAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (4, 8, 16, 32)}
+#: Gauss-Legendre (nodes, weights) for the three node counts above
+_GAUSS = {
+    n: np.polynomial.legendre.leggauss(n) for n in (_COARSE_NODES, _NODES, _CORRECTION_NODES)
+}
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,7 @@ def _require_integrable(spec: BesselProductSpec) -> None:
 def _panel_quad(fun, edges: np.ndarray, nodes: int) -> float:
     """Fixed-order Gauss-Legendre on the panels between consecutive edges,
     panel results reduced in ascending order."""
-    x, w = _GAUSS[nodes] if nodes in _GAUSS else np.polynomial.legendre.leggauss(nodes)
+    x, w = _GAUSS[nodes]
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -71,28 +81,26 @@ def _panel_quad(fun, edges: np.ndarray, nodes: int) -> float:
     return math.fsum((vals * w[None, :]).sum(axis=1) * half)
 
 
-def _equal_panels(t_max, width: float, nodes_per_panel: int) -> np.ndarray:
-    """Edges of equal panels of at most `width` over [0, t_max], after
-    checking the arguments every panel quadrature of [0, t_max] shares."""
-    if not _NODES_RANGE[0] <= nodes_per_panel <= _NODES_RANGE[1]:
-        raise ConfigError(
-            f"nodes_per_panel must lie in {_NODES_RANGE}, got {nodes_per_panel}"
-        )
+def _equal_panels(t_max, width: float) -> np.ndarray:
+    """Edges of equal panels of at most `width` over [0, t_max].  A bad
+    t_max raises ConfigError, and a grid of more than MAX_PANELS panels
+    SizeError, before anything is built."""
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ConfigError(f"t_max must be positive and finite, got {t_max}")
     t_max = float(t_max)
     panels = t_max / width
-    _check_panels(panels, "t_max", t_max)
+    if panels > MAX_PANELS:
+        raise SizeError(
+            f"t_max = {t_max:g} needs {panels:.4g} quadrature panels, "
+            f"beyond the cap of {MAX_PANELS}"
+        )
     return np.linspace(0.0, t_max, max(1, math.ceil(panels)) + 1)
 
 
-def _check_panels(count: float, name: str, limit: float) -> None:
-    """Raise SizeError before a grid of more than MAX_PANELS panels is built."""
-    if count > MAX_PANELS:
-        raise SizeError(
-            f"{name} = {limit:g} needs {count:.4g} quadrature panels, "
-            f"beyond the cap of {MAX_PANELS}"
-        )
+def _fine_coarse(fun, edges: np.ndarray) -> tuple[float, float]:
+    """(16-node value, its distance from the 8-node value) over the panels."""
+    value = _panel_quad(fun, edges, _NODES)
+    return value, abs(value - _panel_quad(fun, edges, _COARSE_NODES))
 
 
 def _tail_constant(spec: BesselProductSpec) -> tuple[float, float]:
@@ -134,82 +142,43 @@ def t_max_for_tail(spec: BesselProductSpec, tail_tol: float, cap: float = 2e4) -
     return float(min(max(math.exp(log_t), 50.0), cap))
 
 
-def integrate(
-    spec: BesselProductSpec, t_max: float, nodes_per_panel: int = 16
-) -> QuadratureResult:
+def integrate(spec: BesselProductSpec, t_max: float) -> QuadratureResult:
     """Direct quadrature of the integral side over [0, t_max].
 
     Panels of width pi/sum(a) (half the shortest period of the total
-    oscillation), fixed-order Gauss-Legendre per panel, ascending
-    summation.  error_estimate is the node-halving difference plus the
-    envelope tail bound.
+    oscillation), 16 Gauss-Legendre nodes per panel, ascending
+    summation.  error_estimate is the distance from the 8-node value plus
+    the envelope tail bound.
 
     Unlike the sum, the integral needs no scale budget: specs with
     sum(a) > 2*pi are integrable as long as the t -> 0 limit exists and
     lam > -N/2 (strict form with a zero beat).
     """
-    edges = _equal_panels(t_max, math.pi / spec.sum_scales, nodes_per_panel)
+    edges = _equal_panels(t_max, math.pi / spec.sum_scales)
     _require_integrable(spec)
-    fun = lambda ts: identity.integrand_array(spec, ts)
-    value = _panel_quad(fun, edges, nodes_per_panel)
-    coarse = _panel_quad(fun, edges, max(nodes_per_panel // 2, 4))
+    value, diff = _fine_coarse(lambda ts: identity.integrand_array(spec, ts), edges)
     tail, flagged = tail_bound(spec, float(t_max))
     return QuadratureResult(
         value=value,
         panels=len(edges) - 1,
         t_max=float(t_max),
-        error_estimate=abs(value - coarse) + tail,
+        error_estimate=diff + tail,
         tail_flagged=flagged,
     )
 
 
-def integrate_power_product(
-    nus, scales, lam: float, t_max: float, nodes_per_panel: int = 16
-) -> tuple[float, float]:
+def integrate_power_product(nus, scales, lam: float, t_max: float) -> tuple[float, float]:
     """Quadrature of t^(-lam) prod J_{nu_j}(a_j t) for general lam.
 
-    Returns (value, node-halving difference).  Used by the odd-parity
-    closure checks; the t -> 0 limit must exist.  t_max and nodes_per_panel
-    are checked as in ``integrate``.
+    Returns (value, node-halving difference) from the panels and rules of
+    ``integrate``, which also checks t_max the same way.  Used by the
+    odd-parity closure checks; the t -> 0 limit must exist.
     """
-    edges = _equal_panels(t_max, math.pi / math.fsum(scales), nodes_per_panel)
-    fun = lambda ts: identity.power_product_array(nus, scales, lam, ts)
-    value = _panel_quad(fun, edges, nodes_per_panel)
-    coarse = _panel_quad(fun, edges, max(nodes_per_panel // 2, 4))
-    return value, abs(value - coarse)
+    edges = _equal_panels(t_max, math.pi / math.fsum(scales))
+    return _fine_coarse(lambda ts: identity.power_product_array(nus, scales, lam, ts), edges)
 
 
-def _correction_quad(nus, scales, lam: float, y_max: float, nodes: int) -> float:
-    """Contour-correction integral reduced to real arithmetic.
-
-    i * [f(iy) - f(-iy)] collapses on the principal branch to
-    -2 sin(pi q / 2) y^(-lam) prod I_{nu_j}(a_j y) with q = sum(nu) - lam;
-    the parity factor is computed numerically, so the even-parity vanishing
-    is observed, not assumed.  I-products are evaluated in scaled form
-    (ive carries e^(-a y)) so only the net damped exponential
-    e^((sum a - 2 pi) y) is ever formed.
-    """
-    q = math.fsum(nus) - lam
-    parity = math.sin(math.pi * q / 2.0)
-    sum_a = math.fsum(scales)
-    damp = sum_a - TWO_PI
-
-    def g(y: np.ndarray) -> np.ndarray:
-        out = y ** (-lam) if lam != 0 else np.ones_like(y)
-        for nu, a in zip(nus, scales):
-            out = out * specfun.ive_array(nu, a * y)
-        return out * np.exp(damp * y) / (1.0 - np.exp(-TWO_PI * y))
-
-    # panels clustered quadratically toward y = 0 where the integrand varies
-    n_panels = max(32, int(8 * math.sqrt(y_max)))
-    _check_panels(n_panels, "y_max", y_max)
-    u = np.linspace(0.0, 1.0, n_panels + 1)
-    edges = y_max * u * u
-    edges[0] = min(1e-12, edges[1] / 2 if len(edges) > 1 else 1e-12)
-    return -2.0 * parity * _panel_quad(g, edges, nodes)
-
-
-def correction_term(spec: BesselProductSpec, y_max: float = 20.0) -> float:
+def correction_term(spec: BesselProductSpec) -> float:
     """Numerical value of the summation-theorem correction integral.
 
     Requires net exponential damping, i.e. sum(a) < 2*pi.  For every
@@ -218,61 +187,62 @@ def correction_term(spec: BesselProductSpec, y_max: float = 20.0) -> float:
     broken phase convention.
     """
     _require_integrable(spec)
-    return correction_term_power_product(spec.nus, spec.scales, spec.lam, y_max)
+    return correction_term_power_product(spec.nus, spec.scales, spec.lam)
 
 
-def correction_term_power_product(
-    nus, scales, lam: float, y_max: float = 20.0, nodes: int = 32
-) -> float:
-    """Correction integral for general lam (odd-parity closure checks)."""
-    if not (y_max >= 0 and math.isfinite(y_max)):
-        raise ConfigError(f"y_max must be non-negative and finite, got {y_max}")
-    if y_max == 0:
-        return 0.0
+def correction_term_power_product(nus, scales, lam: float) -> float:
+    """Correction integral for general lam (odd-parity closure checks).
+
+    i * [f(iy) - f(-iy)] collapses on the principal branch to
+    -2 sin(pi q / 2) y^(-lam) prod I_{nu_j}(a_j y) with q = sum(nu) - lam;
+    the parity factor is computed numerically, so the even-parity vanishing
+    is observed, not assumed.  I-products are evaluated in scaled form
+    (ive carries e^(-a y)) so only the net damped exponential
+    e^((sum a - 2 pi) y) is ever formed.  The integral is truncated at
+    y = 20 and taken on 35 panels of 32 nodes, clustered toward y = 0
+    where the integrand varies.
+    """
+    nus, scales, lam = tuple(map(float, nus)), tuple(map(float, scales)), float(lam)
     sum_a = math.fsum(scales)
     if sum_a >= TWO_PI * (1.0 - 1e-12):
         raise DampingError(
             f"sum of scales {sum_a:.6g} must be < 2*pi for the "
             f"correction integrand to damp"
         )
-    return _correction_quad(tuple(map(float, nus)), tuple(map(float, scales)), float(lam), float(y_max), nodes)
+    parity = math.sin(math.pi * (math.fsum(nus) - lam) / 2.0)
+    damp = sum_a - TWO_PI
+
+    def g(y: np.ndarray) -> np.ndarray:
+        out = y ** (-lam) if lam != 0 else np.ones_like(y)
+        for nu, a in zip(nus, scales):
+            out = out * specfun.ive_array(nu, a * y)
+        return out * np.exp(damp * y) / (1.0 - np.exp(-TWO_PI * y))
+
+    u = np.linspace(0.0, 1.0, _CORRECTION_PANELS + 1)
+    edges = _Y_MAX * u * u
+    edges[0] = 1e-12
+    return -2.0 * parity * _panel_quad(g, edges, _CORRECTION_NODES)
 
 
-def band_limit_check(
-    spec: BesselProductSpec,
-    n_samples: int = 8192,
-    sample_step: float | None = None,
-    guard: float = 0.05,
-) -> float:
+def band_limit_check(spec: BesselProductSpec) -> float:
     """Fraction of windowed spectral energy beyond the analytic bandwidth.
 
-    The integrand extended evenly is sampled on a centered grid of
-    n_samples points with the given spacing (default pi/(2 sum a), putting
-    the Nyquist frequency about twice the band edge), windowed with a
-    140 dB Dolph-Chebyshev window, and Fourier analyzed.  Returns the
-    energy fraction at |frequency| above sum(a)/(2*pi) * (1 + guard);
-    valid specs with sum(a) < 2*pi stay below 1e-6 by a wide margin.
+    The integrand extended evenly is sampled on a centered grid of 8192
+    points spaced pi/(2 sum a), which puts the Nyquist frequency at twice
+    the band edge, windowed with a 140 dB Dolph-Chebyshev window, and
+    Fourier analyzed.  Returns the energy fraction at |frequency| above
+    sum(a)/(2*pi) * 1.05, a 5 % guard band; valid specs with sum(a) < 2*pi
+    stay below 1e-6 by a wide margin.
     """
-    n = int(n_samples)
-    if n < 2**12 or n & (n - 1):
-        raise ConfigError(f"n_samples must be a power of two >= 4096, got {n_samples}")
     _require_integrable(spec)
     sum_a = spec.sum_scales
-    dt = float(sample_step) if sample_step is not None else math.pi / (2.0 * sum_a)
-    if dt <= 0:
-        raise ConfigError(f"sample_step must be positive, got {sample_step}")
-    cutoff = sum_a / TWO_PI * (1.0 + guard)
-    if cutoff >= 0.5 / dt:
-        raise ConfigError(
-            f"sample_step {dt:g} undersamples the band: cutoff {cutoff:g} "
-            f">= Nyquist {0.5 / dt:g}"
-        )
+    n, dt = _BAND_SAMPLES, math.pi / (2.0 * sum_a)
+    cutoff = sum_a / TWO_PI * (1.0 + _BAND_GUARD)
     t = (np.arange(n) - n // 2) * dt
     x = np.empty(n)
     nonzero = t != 0.0
     x[nonzero] = identity.integrand_array(spec, np.abs(t[nonzero]))
-    if not nonzero.all():
-        x[~nonzero] = identity.zero_limit(spec)
+    x[~nonzero] = identity.zero_limit(spec)
     from scipy.signal.windows import chebwin  # scipy.signal is slow to import
 
     window = chebwin(n, at=140)

@@ -59,7 +59,7 @@ def test_criterion_2_weber_schafheitlin_family():
             closed = b**mu / (2.0 * mu)
             r = summation.evaluate(spec, terms=10**4)
             tol = max(1e-4, summation.truncation_bound(spec, 10**4))
-            q = quadrature.integrate(spec, quadrature.t_max_for_tail(spec, 1e-6, cap=6e3), 16)
+            q = quadrature.integrate(spec, quadrature.t_max_for_tail(spec, 1e-6, cap=6e3))
             sum_ok = abs(r.value - closed) <= tol
             quad_ok = abs(q.value - closed) <= q.error_estimate + 1e-9
             if not (sum_ok and quad_ok):
@@ -150,7 +150,7 @@ def test_criterion_3_refined_all_panels():
                     assert report.convergence_class is ConvergenceClass.CONDITIONAL
                 r = summation.evaluate(spec, terms=10**3)
                 q = quadrature.integrate(
-                    spec, quadrature.t_max_for_tail(spec, 1e-6, cap=1500.0), 16
+                    spec, quadrature.t_max_for_tail(spec, 1e-6, cap=1500.0)
                 )
                 combined = summation.truncation_bound(spec, 10**3) + q.error_estimate
                 if not abs(r.value - q.value) <= combined:
@@ -193,7 +193,7 @@ def test_criterion_4_correction_term_vanishing():
     worst = 0.0
     for spec in specs:
         corr = quadrature.correction_term(spec)
-        q = quadrature.integrate(spec, quadrature.t_max_for_tail(spec, 1e-6, cap=800.0), 16)
+        q = quadrature.integrate(spec, quadrature.t_max_for_tail(spec, 1e-6, cap=800.0))
         worst = max(worst, abs(corr) / (1.0 + abs(q.value)))
     ok = worst <= 1e-9
     assert _report(
@@ -217,7 +217,7 @@ def test_criterion_4_odd_parity_closure():
         p = lam + n / 2.0
         m_terms, t_max = 2 * 10**5, 4000.0
         s = summation.sum_power_product(nus, scales, lam, m_terms)
-        ival, idiff = quadrature.integrate_power_product(nus, scales, lam, t_max, 16)
+        ival, idiff = quadrature.integrate_power_product(nus, scales, lam, t_max)
         corr = quadrature.correction_term_power_product(nus, scales, lam)
         env = 2.0**n * math.prod(math.sqrt(2.0 / (PI * a)) for a in scales)
         combined = (
@@ -300,7 +300,7 @@ def test_criterion_6_rescaling_closure():
     for spec in cases:
         r = summation.evaluate(spec, terms=10**4)
         assert r.rescaled
-        q = quadrature.integrate(spec, quadrature.t_max_for_tail(spec, 1e-6, cap=2e3), 16)
+        q = quadrature.integrate(spec, quadrature.t_max_for_tail(spec, 1e-6, cap=2e3))
         combined = r.error_bound + q.error_estimate + 1e-9
         gap = abs(r.value - q.value)
         worst = max(worst, gap / combined)

@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from besselsum import cli, identity, summation
+from besselsum import cli, identity, quadrature, summation
 from besselsum.cli import CliError, main, parse_number, read_sweep_csv
-from besselsum.errors import ConfigError
+from besselsum.errors import ConfigError, InvalidSpec
 
 PI = math.pi
 
@@ -129,7 +129,7 @@ class TestValidate:
                    "--k=-1"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "R1-neg-int" in out
+        assert "R1-neg-int" in out and "relax the k-condition to k >= -1\n" in out
 
     def test_beat_witness_printed(self, capsys):
         rc = main(["validate", "--nu", "0.5,0.5,1.5", "--a", "1,1,2"])
@@ -148,6 +148,17 @@ class TestValidate:
 
     def test_missing_spec_file_exit_1(self, capsys):
         assert main(["validate", "--spec", "/nonexistent/spec.json"]) == 1
+
+    def test_r1_bound_reads_zero_without_negative_integers(self, capsys):
+        # the bound is 0 - sum over no orders: printed 0, never -0
+        rc = main(["validate", "--nu", "0.5", "--a", "1.0", "--k", "-1"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "[R1] (VIOLATED) k = -1 violates k >= 0 (t -> 0 limit" in out
+        assert "-0" not in out
+        reason = r"^integral does not exist: k = -1 violates k >= 0 \("
+        with pytest.raises(InvalidSpec, match=reason):
+            quadrature.integrate(identity.make_spec(-1, [0.5], [1.0]), 10.0)
 
 
 class TestSweep:
@@ -295,6 +306,26 @@ class TestSweep:
             cli.run_sweep(identity.make_spec(0, [0.5, 1.5], [PI / 16, 1.0]), 1, [1.0], terms=-1)
 
 
+    @pytest.mark.parametrize("t_max", ["-5", "0", "inf", "nan"])
+    def test_bad_t_max_exit_2(self, tmp_path, capsys, t_max):
+        # a bad t_max is a flag error for the whole sweep, not a nan in
+        # every row's quadrature column
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "sweep",
+                "--nu", "0.5,1.5", "--a", "pi/16,1.0",
+                "--vary", "1", "--range", "0.1:6.0:3",
+                f"--t-max={t_max}", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "sweep failed: t_max must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError):
+            cli.run_sweep(identity.make_spec(0, [0.5, 1.5], [PI / 16, 1.0]), 1, [1.0],
+                          t_max=float(t_max))
+
     def test_terms_beyond_the_cap_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main(
@@ -327,9 +358,28 @@ class TestCompare:
         assert "rescale path" in out
         assert "correction_term = n/a" in out
 
+    def test_cli_cold_spec_sums_the_rescaled_spec(self, capsys):
+        # sum(a) = 2*pi * 1.01: compare prints the prefactor times the sum of
+        # the rescaled spec, which differs from the raw sum of the original
+        spec = identity.make_spec(0, [0.5, 1.5], [0.9817477042468103, 5.368672961742462])
+        rc = main(["compare", "--nu=0.5,1.5", "--a=0.9817477042468103,5.368672961742462"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.rstrip().endswith(": PASS")
+        sum_value = float(out.split("sum_value = ", 1)[1].split(" ", 1)[0])
+        assert sum_value == summation.evaluate(spec, terms=10).value
+        raw = summation.sum_power_product(spec.nus, spec.scales, spec.lam, 10)
+        assert abs(sum_value - raw) > 1e-4
+
     def test_invalid_even_after_rescale_exit_2(self, capsys):
         rc = main(["compare", "--nu", "0.0", "--a", "1.0", "--k", "1"])
         assert rc == 2
+
+    def test_negative_terms_names_the_flag(self, capsys):
+        rc = main(["compare", "--nu", "0.5,1.5", "--a", "pi/16,1.0", "--terms", "-5"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "invalid spec: terms must be non-negative, got -5\n"
 
     def test_huge_t_max_is_oracle_failure_exit_2(self, capsys):
         rc = main(["compare", "--nu", "0.5,1.5", "--a", "0.3,1.0", "--t-max=1e300"])

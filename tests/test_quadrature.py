@@ -24,14 +24,14 @@ class TestIntegrate:
         # integral t^{-1/2} J_{1/2}(t) dt = sqrt(2/pi) integral sin(t)/t dt
         #                                 = sqrt(2/pi) * pi/2
         spec = make_spec(0, [0.5], [1.0])
-        q = integrate(spec, 2e4, 16)
+        q = integrate(spec, 2e4)
         assert q.tail_flagged  # p = 1: envelope tail bound diverges
         assert q.value == pytest.approx(math.sqrt(2 / PI) * PI / 2, abs=2e-4)
 
     def test_weber_schafheitlin_spherical(self):
         # integral J_{1/2}(t) J_{1/2}(t/2) / t dt = sqrt(1/2)
         spec = make_spec(0, [0.5, 0.5], [1.0, 0.5])
-        q = integrate(spec, t_max_for_tail(spec, 1e-6), 16)
+        q = integrate(spec, t_max_for_tail(spec, 1e-6))
         assert q.value == pytest.approx(math.sqrt(0.5), abs=q.error_estimate + 1e-9)
         assert q.value == pytest.approx(math.sqrt(0.5), abs=1e-4)
 
@@ -41,7 +41,7 @@ class TestIntegrate:
         a, b = 1.0, 0.5
         spec = make_spec(1, [1.5, 1.5], [a, b])
         closed = (PI / (2.0 * math.sqrt(a * b))) * (b / a) ** 1.5 / 3.0
-        q = integrate(spec, t_max_for_tail(spec, 1e-6), 16)
+        q = integrate(spec, t_max_for_tail(spec, 1e-6))
         expected_spec_value = (b / a) ** 1.5 / 3.0  # the 1/t-weighted integral
         assert q.value == pytest.approx(expected_spec_value, abs=1e-6)
         # direct sampling of scipy's spherical j_1 reproduces the prefactor relation
@@ -59,33 +59,22 @@ class TestIntegrate:
     def test_t_max_refinement_within_tail_bound(self):
         spec = make_spec(0, [1.5, 1.5], [1.0, 0.7])
         t1 = 200.0
-        q1, q2 = integrate(spec, t1, 16), integrate(spec, 2 * t1, 16)
+        q1, q2 = integrate(spec, t1), integrate(spec, 2 * t1)
         tail1, flagged = quadrature.tail_bound(spec, t1)
         assert not flagged
         assert abs(q2.value - q1.value) <= tail1
-
-    def test_panel_refinement(self):
-        spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
-        estimates = [integrate(spec, 150.0, n).error_estimate for n in (8, 16, 32)]
-        assert estimates[1] <= 2.0 * estimates[0]
-        assert estimates[2] <= 2.0 * estimates[1]
-
-    def test_node_range_enforced(self):
-        spec = make_spec(0, [0.5], [1.0])
-        for bad in (4, 65, 0):
-            with pytest.raises(ConfigError):
-                integrate(spec, 10.0, bad)
 
     @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, 0.0, -5.0])
     def test_t_max_must_be_positive_and_finite(self, t_max):
         with pytest.raises(ConfigError):
             integrate(make_spec(0, [0.5, 1.5], [PI / 16, 1.0]), t_max)
 
-    @pytest.mark.parametrize("t_max, nodes", [(math.inf, 16), (math.nan, 16), (-5.0, 16),
-                                              (10.0, 200), (10.0, 4)])
+    @pytest.mark.parametrize("t_max, nodes", [(math.inf, 16), (math.nan, 16), (-5.0, 16)])
     def test_power_product_checks_like_integrate(self, t_max, nodes):
+        # the rule is fixed at 16 nodes per panel; a bad t_max is still refused
+        assert quadrature._NODES == nodes
         with pytest.raises(ConfigError):
-            integrate_power_product((1.5, 1.5), (1.0, 0.7), 2.0, t_max, nodes)
+            integrate_power_product((1.5, 1.5), (1.0, 0.7), 2.0, t_max)
 
     @pytest.mark.parametrize("t_max", [1e8, 1e300])
     def test_panel_count_capped(self, t_max):
@@ -98,16 +87,16 @@ class TestIntegrate:
 
     def test_rejects_divergent_integrand(self):
         with pytest.raises(InvalidSpec):
-            integrate(make_spec(1, [0.0], [1.0]), 10.0, 16)  # lam <= -N/2
+            integrate(make_spec(1, [0.0], [1.0]), 10.0)  # lam <= -N/2
 
     def test_scale_budget_not_required(self):
         # the integral exists beyond the 2*pi budget; only the sum needs it
         spec = make_spec(0, [1.5, 1.5], [4.0, 4.0])
-        q = integrate(spec, t_max_for_tail(spec, 1e-6), 16)
+        q = integrate(spec, t_max_for_tail(spec, 1e-6))
         assert math.isfinite(q.value)
 
     def test_result_dict(self):
-        q = integrate(make_spec(0, [1.5, 1.5], [1.0, 0.7]), 100.0, 16)
+        q = integrate(make_spec(0, [1.5, 1.5], [1.0, 0.7]), 100.0)
         d = q.to_dict()
         assert set(d) == {"value", "panels", "t_max", "error_estimate", "tail_flagged"}
         assert d["panels"] >= 1 and d["error_estimate"] >= 0
@@ -118,7 +107,7 @@ class TestSumIntegralIdentity:
         # the main claim: sum and integral agree within combined bounds
         for spec in corpus:
             r = summation.evaluate(spec, terms=10**4, accelerate=False)
-            q = integrate(spec, t_max_for_tail(spec, 1e-6), 16)
+            q = integrate(spec, t_max_for_tail(spec, 1e-6))
             combined = (
                 summation.truncation_bound(spec, 10**4) + q.error_estimate + 1e-6
             )
@@ -129,7 +118,7 @@ class TestSumIntegralIdentity:
         spec = make_spec(0, [1.5, 1.5], [1.8 * PI, 1.2 * PI])
         r = summation.evaluate(spec, terms=10**4)
         assert r.rescaled
-        q = integrate(spec, t_max_for_tail(spec, 1e-6), 16)
+        q = integrate(spec, t_max_for_tail(spec, 1e-6))
         assert abs(r.value - q.value) <= r.error_bound + q.error_estimate + 1e-9
 
     @given(
@@ -156,7 +145,7 @@ class TestSumIntegralIdentity:
         assume(report.valid)
         assume(report.convergence_class is identity.ConvergenceClass.ABSOLUTE)
         r = summation.evaluate(spec, terms=4000, accelerate=False)
-        q = integrate(spec, t_max_for_tail(spec, 1e-6, cap=2000.0), 16)
+        q = integrate(spec, t_max_for_tail(spec, 1e-6, cap=2000.0))
         combined = summation.truncation_bound(spec, 4000) + q.error_estimate + 1e-6
         assert abs(r.value - q.value) <= combined
 
@@ -166,34 +155,12 @@ class TestCorrectionTerm:
         # representable specs always have even parity; the numerically
         # evaluated contour integral must vanish
         spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
-        q = integrate(spec, 200.0, 16)
+        q = integrate(spec, 200.0)
         assert abs(correction_term(spec)) <= 1e-10 * (1.0 + abs(q.value))
 
     def test_vanishes_with_nonzero_k(self):
         spec = make_spec(1, [1.5, 1.5], [1.0, 0.7])
         assert abs(correction_term(spec)) <= 1e-12
-
-    def test_empty_range(self):
-        spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
-        assert correction_term(spec, y_max=0.0) == 0.0
-
-    @pytest.mark.parametrize("y_max", [math.inf, math.nan, -1.0])
-    def test_y_max_must_be_finite(self, y_max):
-        spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
-        with pytest.raises(ConfigError):
-            correction_term(spec, y_max=y_max)
-
-    @pytest.mark.parametrize("y_max", [math.inf, math.nan, -1.0])
-    def test_power_product_y_max_must_be_finite(self, y_max):
-        with pytest.raises(ConfigError):
-            correction_term_power_product((1.5, 1.5), (1.0, 0.7), 2.0, y_max)
-
-    @pytest.mark.parametrize("y_max", [2e10, 1e300])
-    def test_panel_count_capped(self, y_max):
-        # 8*sqrt(y_max) clustered panels: refused before any allocation
-        spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
-        with pytest.raises(SizeError, match="y_max .* quadrature panels"):
-            correction_term(spec, y_max=y_max)
 
     def test_damping_required(self):
         with pytest.raises(DampingError):
@@ -204,7 +171,7 @@ class TestCorrectionTerm:
         # sum - integral within combined tail bounds
         nus, scales, lam = (1.5, 1.5), (1.0, 0.7), 2.0
         s = summation.sum_power_product(nus, scales, lam, 2 * 10**5)
-        ival, idiff = integrate_power_product(nus, scales, lam, 4000.0, 16)
+        ival, idiff = integrate_power_product(nus, scales, lam, 4000.0)
         corr = correction_term_power_product(nus, scales, lam)
         assert abs(corr) > 1e-4  # genuinely nonzero
         assert abs(s - ival - corr) <= 1e-7 + idiff
@@ -225,13 +192,15 @@ def _reference_panel_quad(fun, edges, nodes):
     return math.fsum((vals.reshape(len(mid), nodes) * w[None, :]).sum(axis=1) * half)
 
 
-def _reference_integrate(spec, t_max, nodes):
-    edges = np.linspace(0.0, t_max, max(1, math.ceil(t_max / (PI / spec.sum_scales))) + 1)
-    fun = lambda ts: identity.integrand_array(spec, ts)
-    return _reference_panel_quad(fun, edges, nodes), _reference_panel_quad(fun, edges, nodes // 2)
+def _reference_integrate(nus, scales, lam, t_max):
+    """16- and 8-node values on equal panels of width at most pi/sum(a)."""
+    edges = np.linspace(0.0, t_max, max(1, math.ceil(t_max / (PI / math.fsum(scales)))) + 1)
+    fun = lambda ts: identity.power_product_array(nus, scales, lam, ts)
+    return _reference_panel_quad(fun, edges, 16), _reference_panel_quad(fun, edges, 8)
 
 
-def _reference_correction(nus, scales, lam, y_max=20.0, nodes=32):
+def _reference_correction(nus, scales, lam):
+    """32-node rule on 35 panels over (0, 20], clustered quadratically toward 0."""
     damp = math.fsum(scales) - 2 * PI
 
     def g(y):
@@ -240,11 +209,11 @@ def _reference_correction(nus, scales, lam, y_max=20.0, nodes=32):
             out = out * specfun.ive_array(nu, a * y)
         return out * np.exp(damp * y) / (1.0 - np.exp(-2 * PI * y))
 
-    u = np.linspace(0.0, 1.0, max(32, int(8 * math.sqrt(y_max))) + 1)
-    edges = y_max * u * u
-    edges[0] = min(1e-12, edges[1] / 2)
+    u = np.linspace(0.0, 1.0, 35 + 1)
+    edges = 20.0 * u * u
+    edges[0] = 1e-12
     parity = math.sin(PI * (math.fsum(nus) - lam) / 2.0)
-    return -2.0 * parity * _reference_panel_quad(g, edges, nodes)
+    return -2.0 * parity * _reference_panel_quad(g, edges, 32)
 
 
 #: one spec from each demonstration panel, last scale inside the valid range
@@ -257,27 +226,27 @@ PANEL_SPECS = [
 
 class TestGaussRules:
     def test_tabulated_rules_are_leggauss(self):
-        assert set(quadrature._GAUSS) >= {8, 16, 32}
+        assert set(quadrature._GAUSS) == {8, 16, 32}
         for n, (x, w) in quadrature._GAUSS.items():
             fresh_x, fresh_w = np.polynomial.legendre.leggauss(n)
             assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
 
-    def test_untabulated_node_count(self):
-        assert 12 not in quadrature._GAUSS
-        spec = make_spec(0, [1.5, 1.5], [1.0, 0.7])
-        fine, coarse = _reference_integrate(spec, 100.0, 12)
-        q = integrate(spec, 100.0, 12)
-        assert q.value == fine
-        assert q.error_estimate == abs(fine - coarse) + quadrature.tail_bound(spec, 100.0)[0]
-        assert q.value == pytest.approx(integrate(spec, 100.0, 16).value, abs=1e-12)
-
     @pytest.mark.parametrize("spec", PANEL_SPECS)
     @pytest.mark.parametrize("t_max", [10.0, 37.3])
     def test_integrate_bitwise_reference(self, spec, t_max):
-        fine, coarse = _reference_integrate(spec, t_max, 16)
+        fine, coarse = _reference_integrate(spec.nus, spec.scales, spec.lam, t_max)
         q = integrate(spec, t_max)
         assert q.value == fine
         assert q.error_estimate == abs(fine - coarse) + quadrature.tail_bound(spec, t_max)[0]
+
+    @pytest.mark.parametrize("spec", PANEL_SPECS)
+    @pytest.mark.parametrize("t_max", [10.0, 37.3])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_power_product_bitwise_reference(self, spec, t_max, shift):
+        # the same 16/8-node body as integrate, also off the representable lam
+        args = (spec.nus, spec.scales, spec.lam + shift, t_max)
+        fine, coarse = _reference_integrate(*args)
+        assert integrate_power_product(*args) == (fine, abs(fine - coarse))
 
     @pytest.mark.parametrize("spec", PANEL_SPECS)
     def test_correction_bitwise_reference(self, spec):
@@ -298,27 +267,6 @@ class TestBandLimit:
         spec = make_spec(0, [0.0], [1.0])
         assert band_limit_check(spec) <= 1e-6
 
-    def test_sample_step_consistency(self):
-        spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
-        base_step = PI / (2.0 * spec.sum_scales)
-        l1 = band_limit_check(spec, sample_step=base_step)
-        l2 = band_limit_check(spec, sample_step=base_step / 2.0)
-        # both sit far below threshold; floored ratio stays within 10x
-        floor = 1e-9
-        ratio = max(l1, floor) / max(l2, floor)
-        assert 0.1 <= ratio <= 10.0
-
-    def test_sample_count_validated(self):
-        spec = make_spec(0, [0.0], [1.0])
-        with pytest.raises(ConfigError):
-            band_limit_check(spec, n_samples=1000)
-        with pytest.raises(ConfigError):
-            band_limit_check(spec, n_samples=5000)  # not a power of two
-
-    def test_undersampling_rejected(self):
-        spec = make_spec(0, [0.0], [1.0])
-        with pytest.raises(ConfigError):
-            band_limit_check(spec, sample_step=50.0)
 
 
 def test_triple_route_high_precision_anchor():
@@ -331,7 +279,7 @@ def test_triple_route_high_precision_anchor():
     spec = make_spec(0, [0.5, 1.5], [PI / 16, 1.0])
     r = summation.evaluate(spec, terms=10**4, accelerate=False)
     assert abs(r.value - ref) <= summation.truncation_bound(spec, 10**4) + 1e-12
-    q = integrate(spec, t_max_for_tail(spec, 1e-6), 16)
+    q = integrate(spec, t_max_for_tail(spec, 1e-6))
     assert abs(q.value - ref) <= q.error_estimate + 1e-12
 
 
