@@ -32,7 +32,7 @@ from .identity import (
     summand,
 )
 from .quadrature import QuadratureResult, band_limit_check, correction_term, integrate
-from .specfun import OrderKind, bessel_i_scaled, bessel_j
+from .specfun import bessel_j
 from .summation import (
     SummationResult,
     evaluate,
@@ -50,7 +50,6 @@ __all__ = [
     "DomainError",
     "Factor",
     "InvalidSpec",
-    "OrderKind",
     "QuadratureResult",
     "SizeError",
     "SummationResult",
@@ -59,7 +58,6 @@ __all__ = [
     "band_limit_check",
     "beat_exists",
     "beat_frequencies",
-    "bessel_i_scaled",
     "bessel_j",
     "check_validity",
     "correction_term",

@@ -283,40 +283,6 @@ def write_sweep_csv(table: SweepTable, fh) -> None:
         )
 
 
-def read_sweep_csv(fh) -> SweepTable:
-    """Parse a sweep CSV back; float fields round-trip bitwise."""
-    meta_line = fh.readline()
-    if not meta_line.startswith("# meta: "):
-        raise CliError("missing '# meta:' header line")
-    meta = json.loads(meta_line[len("# meta: ") :])
-    header = fh.readline().strip()
-    if header != ",".join(CSV_COLUMNS):
-        raise CliError(f"unexpected CSV header {header!r}")
-    rows = []
-    for line in fh:
-        if not line.strip():
-            continue
-        b, s, q, d, valid, klass = line.strip().split(",")
-        rows.append(
-            SweepRow(
-                b=float(b),
-                sum_value=float(s),
-                quad_value=float(q),
-                abs_diff=float(d),
-                valid=valid == "true",
-                klass=klass,
-            )
-        )
-    return SweepTable(
-        template=BesselProductSpec.from_dict(meta["spec"]),
-        vary=int(meta["vary"]),
-        b_star=float(meta["b_star"]),
-        terms=int(meta["terms"]),
-        t_max=float(meta["t_max"]),
-        rows=tuple(rows),
-    )
-
-
 def sweep_to_json(table: SweepTable) -> str:
     return json.dumps(
         {

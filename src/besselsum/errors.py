@@ -15,7 +15,8 @@ class SizeError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Out-of-range configuration parameter (node counts, sample counts, ...)."""
+    """Out-of-range oracle or sweep setting: a quadrature t_max, or run_sweep's
+    vary index or term count."""
 
 
 class InvalidSpec(ValueError):

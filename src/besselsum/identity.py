@@ -51,9 +51,13 @@ class BesselProductSpec:
     factors: tuple[Factor, ...]
 
     def __post_init__(self):
-        if int(self.k) != self.k:
+        try:
+            k = int(self.k)
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf
+            k = None
+        if k is None or k != self.k:
             raise InvalidSpec(f"k must be an integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", k)
         factors = tuple(
             f if isinstance(f, Factor) else Factor(float(f[0]), float(f[1]))
             for f in self.factors
@@ -66,6 +70,12 @@ class BesselProductSpec:
                 raise InvalidSpec(f"factor {i}: order must be finite, got {f.nu!r}")
             if not (math.isfinite(f.a) and f.a > 0):
                 raise InvalidSpec(f"factor {i}: scale must be positive, got {f.a!r}")
+        try:  # fsum and float(k) raise OverflowError; lam = sum(nu) - 2k may round to inf
+            in_range = math.isfinite(self.sum_scales) and math.isfinite(self.zero_exponent())
+        except OverflowError:
+            in_range = False
+        if not in_range:  # the t -> 0 exponent is finite only if lam is
+            raise InvalidSpec("sum(a), sum(nu), 2k and the t -> 0 exponent must be finite floats")
 
     @property
     def n_factors(self) -> int:
@@ -93,11 +103,7 @@ class BesselProductSpec:
         return self.sum_nu - 2.0 * self.k
 
     def negative_integer_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, f in enumerate(self.factors)
-            if specfun.classify_order(f.nu) is specfun.OrderKind.NEGATIVE_INTEGER
-        )
+        return tuple(i for i, f in enumerate(self.factors) if specfun.is_negative_integer(f.nu))
 
     def zero_exponent(self) -> float:
         """Net power of t in the integrand as t -> 0.
@@ -113,13 +119,10 @@ class BesselProductSpec:
             "factors": [{"nu": f.nu, "a": f.a} for f in self.factors],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, obj: dict) -> "BesselProductSpec":
         return cls(
-            k=int(obj["k"]),
+            k=obj["k"],
             factors=tuple(Factor(float(f["nu"]), float(f["a"])) for f in obj["factors"]),
         )
 
@@ -399,10 +402,7 @@ def zero_limit(spec: BesselProductSpec) -> float:
 def _zero_exponent(nus, lam: float) -> float:
     """Net power of t as t -> 0 in t^(-lam) prod_j J_{nu_j}(a_j t):
     sum(|nu| for negative-integer orders, nu otherwise) - lam."""
-    return math.fsum(
-        abs(v) if specfun.classify_order(v) is specfun.OrderKind.NEGATIVE_INTEGER else v
-        for v in nus
-    ) - lam
+    return math.fsum(abs(v) if specfun.is_negative_integer(v) else v for v in nus) - lam
 
 
 def power_product_zero_limit(nus, scales, lam: float) -> float:

@@ -54,15 +54,6 @@ class QuadratureResult:
     #: reported error_estimate carries no tail contribution
     tail_flagged: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "panels": self.panels,
-            "t_max": self.t_max,
-            "error_estimate": self.error_estimate,
-            "tail_flagged": self.tail_flagged,
-        }
-
 
 def _require_integrable(spec: BesselProductSpec) -> None:
     ok, reason = identity.integrand_conditions_ok(spec)
@@ -221,7 +212,8 @@ def correction_term_power_product(nus, scales, lam: float) -> float:
     u = np.linspace(0.0, 1.0, _CORRECTION_PANELS + 1)
     edges = _Y_MAX * u * u
     edges[0] = 1e-12
-    return -2.0 * parity * _panel_quad(g, edges, _CORRECTION_NODES)
+    # 0.0 - x, not -x: with parity = sin(0) = +0.0 the value reads 0, not -0
+    return 0.0 - 2.0 * parity * _panel_quad(g, edges, _CORRECTION_NODES)
 
 
 def band_limit_check(spec: BesselProductSpec) -> float:

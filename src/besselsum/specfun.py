@@ -8,15 +8,14 @@ beyond the DLMF 10.17(iii) remainder bound, it calls scipy.special.jv.  A
 value depends on (nu, x) only, never on the array it arrives in.  I_nu is
 backed by scipy.special.  The module also pins down the edge cases the rest
 of the library relies on: exact reflection J_{-n} = (-1)^n J_n for integer
-n, the x = 0 limits, and exact order classification (integer / half-integer
-detection with tolerance 1e-12, matching what survives CLI text parsing).
+n, the x = 0 limits, and negative-integer detection (tolerance 1e-12,
+matching what survives CLI text parsing).
 
 All functions are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -24,7 +23,7 @@ from scipy import special as _sp
 
 from .errors import DivergentAtZero, DomainError
 
-#: tolerance for classifying an order as integer or half-integer
+#: tolerance for taking an order as a negative integer, or as 0 in J_nu(0)
 INTEGER_TOL = 1e-12
 
 #: Hankel coefficients a_0 .. a_{K-1} summed by jv_array (K even)
@@ -35,23 +34,12 @@ _HANKEL_TOL = np.finfo(float).eps / 8.0
 _HANKEL_STEPS = tuple((float((2 * k - 1) ** 2), 8.0 * k) for k in range(1, 4 * _HANKEL_TERMS + 1))
 
 
-class OrderKind(enum.Enum):
-    NEGATIVE_INTEGER = "negative integer"
-    NONNEGATIVE_INTEGER = "non-negative integer"
-    HALF_INTEGER = "half-integer"
-    GENERIC = "generic real"
-
-
-def classify_order(nu: float) -> OrderKind:
-    """Classify a real order, with tolerance INTEGER_TOL for the exact classes."""
+def is_negative_integer(nu: float) -> bool:
+    """Whether a real order lies within INTEGER_TOL of a negative integer."""
     if not math.isfinite(nu):
         raise DomainError(f"order must be finite, got {nu!r}")
     nearest = round(nu)
-    if abs(nu - nearest) <= INTEGER_TOL:
-        return OrderKind.NEGATIVE_INTEGER if nearest < 0 else OrderKind.NONNEGATIVE_INTEGER
-    if abs(nu - (math.floor(nu) + 0.5)) <= INTEGER_TOL:
-        return OrderKind.HALF_INTEGER
-    return OrderKind.GENERIC
+    return nearest < 0 and abs(nu - nearest) <= INTEGER_TOL
 
 
 def bessel_j(nu, x: float) -> float:
@@ -66,13 +54,12 @@ def bessel_j(nu, x: float) -> float:
     x = float(x)
     if x < 0:
         raise DomainError(f"x must be non-negative, got {x}")
-    kind = classify_order(v)
-    if kind is OrderKind.NEGATIVE_INTEGER:
+    if is_negative_integer(v):
         n = -round(v)
         sign = -1.0 if n % 2 else 1.0
         return sign * bessel_j(float(n), x)
     if x == 0.0:
-        if kind is OrderKind.NONNEGATIVE_INTEGER and round(v) == 0:
+        if abs(v) <= INTEGER_TOL:
             return 1.0
         if v > 0:
             return 0.0
@@ -85,7 +72,7 @@ def jv_array(nu: float, x: np.ndarray) -> np.ndarray:
     orders: the Hankel expansion where x >= x0(nu), scipy.special.jv below."""
     v = float(nu)
     negate = False
-    if classify_order(v) is OrderKind.NEGATIVE_INTEGER:
+    if is_negative_integer(v):
         n = -round(v)
         negate = n % 2 == 1
         v = float(n)
@@ -163,21 +150,10 @@ def _horner(coeffs: list[float], u: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_i_scaled(nu, x: float) -> float:
-    """Exponentially scaled modified Bessel function e^{-x} I_nu(x)."""
-    v = float(nu)
-    x = float(x)
-    if x < 0:
-        raise DomainError(f"x must be non-negative, got {x}")
-    if classify_order(v) is OrderKind.NEGATIVE_INTEGER:
-        v = float(-round(v))
-    return float(_sp.ive(v, x))
-
-
 def ive_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized e^{-x} I_nu(x) over x > 0, folding negative integer orders."""
+    """Vectorized e^{-x} I_nu(x) over x >= 0, folding negative integer orders."""
     v = float(nu)
-    if classify_order(v) is OrderKind.NEGATIVE_INTEGER:
+    if is_negative_integer(v):
         v = float(-round(v))
     return _sp.ive(v, x)
 
@@ -189,23 +165,24 @@ def small_argument_coeff(nu: float, a: float) -> float:
     (-1)^n (a/2)^n / n! with n = |nu| (the first surviving series term).
     Where the power or the Gamma function leaves the float range (Gamma
     underflows to +-0 below nu = -170) the ratio is formed in log space; a
-    ratio beyond the float range raises DomainError.
+    ratio or log-ratio beyond the float range raises DomainError.
     """
     v = float(nu)
-    negint = classify_order(v) is OrderKind.NEGATIVE_INTEGER
+    negint = is_negative_integer(v)
     if negint:
         v = float(-round(v))
     sign = -1.0 if negint and v % 2 else 1.0
     try:
-        return sign * (a / 2.0) ** v / (math.factorial(int(v)) if negint else math.gamma(v + 1.0))
+        # n! > float max past n = 170: let gamma raise rather than build n!
+        return sign * (a / 2.0) ** v / (
+            math.factorial(int(v)) if negint and v <= 170 else math.gamma(v + 1.0)
+        )
     except (OverflowError, ZeroDivisionError):
-        log_c = v * math.log(a / 2.0) - math.lgamma(v + 1.0)
         if v < -1.0:  # Gamma(v+1) < 0 on alternate unit intervals; its zero keeps the sign
             sign = math.copysign(1.0, math.gamma(v + 1.0))
     try:
-        return sign * math.exp(log_c)
-    except OverflowError:
+        return sign * math.exp(v * math.log(a / 2.0) - math.lgamma(v + 1.0))
+    except OverflowError:  # from exp, or from lgamma for nu beyond about 1e305
         raise DomainError(
-            f"small-argument coefficient of J_{nu:g}({a:g} t) is e^{log_c:g}, "
-            f"beyond the float range"
+            f"small-argument coefficient of J_{nu:g}({a:g} t) or its log is beyond the float range"
         ) from None

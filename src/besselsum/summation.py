@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import identity
-from .errors import InvalidSpec, SizeError, ToleranceUnreachable
+from .errors import DomainError, InvalidSpec, SizeError, ToleranceUnreachable
 from .identity import BesselProductSpec, ConvergenceClass
 
 #: fixed block size for deterministic blocked accumulation
@@ -133,7 +133,7 @@ def _analyse(spec: BesselProductSpec):
 
 def _required(c: float, q: float, tol: float) -> int:
     """Smallest M >= 10 with c * M^(-q) <= tol (ties rounded up)."""
-    if tol <= 0:
+    if not tol > 0:  # nan included
         raise InvalidSpec(f"tol must be positive, got {tol}")
     if c <= tol:
         return 10
@@ -216,6 +216,7 @@ def evaluate(
     specs are accelerated unless disabled; the error bound is then the last
     averaging increment instead of the a priori power law.  A fixed
     truncation below 10 terms reports error_bound = inf: no bound available.
+    A sum that is not a finite float raises DomainError.
     """
     if (terms is None) == (tol is None):
         raise InvalidSpec("exactly one of terms= or tol= must be given")
@@ -249,6 +250,8 @@ def evaluate(
         # the envelope analysis starts at 10 terms; below that there is no bound
         err = c * float(m_used) ** (-q) if m_used >= 10 else math.inf
 
+    if not math.isfinite(prefactor * value):
+        raise DomainError(f"the sum is {prefactor * value}: its terms leave the float range")
     if tol is not None and err * abs(prefactor) > tol:
         raise ToleranceUnreachable(
             f"achieved error bound {err * abs(prefactor):g} exceeds tol {tol:g} "

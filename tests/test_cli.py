@@ -10,7 +10,7 @@ import time
 import pytest
 
 from besselsum import cli, identity, quadrature, summation
-from besselsum.cli import CliError, main, parse_number, read_sweep_csv
+from besselsum.cli import CliError, main, parse_number
 from besselsum.errors import ConfigError, InvalidSpec
 
 PI = math.pi
@@ -67,6 +67,25 @@ class TestCompute:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rescaled"] is True
+
+    def test_nan_tol_is_invalid_spec_exit_2(self, capsys):
+        rc = main(["compute", "--nu", "0.5", "--a", "1.0", "--tol", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().err == "invalid spec: tol must be positive, got nan\n"
+
+    @pytest.mark.parametrize(
+        "nu, message",
+        [
+            ("1e300", "error: the sum is nan: its terms leave the float range\n"),
+            # lgamma overflows in the m = 0 term
+            ("1e308", "error: small-argument coefficient of J_1e+308(1 t) or its log is "
+                      "beyond the float range\n"),
+        ],
+    )
+    def test_sum_beyond_float_range_is_domain_error_exit_2(self, capsys, nu, message):
+        rc = main(["compute", "--nu", nu, "--a", "1"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", message)
 
     def test_terms_below_ten_report_no_bound(self, capsys):
         rc = main(["compute", "--nu", "0.5", "--a", "2.0", "--terms", "3"])
@@ -146,6 +165,26 @@ class TestValidate:
         path.write_text(json.dumps({"k": 0, "factors": [{"nu": 0.5, "a": 1.0}]}))
         assert main(["validate", "--spec", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nu", "0.5,0.5", "--a", "1e308,1e308"],  # sum of the scales
+            ["--nu", "1e308,1e308", "--a", "1,1"],  # sum of the orders
+            ["--nu", "0.5", "--a", "1", "--k", "9" * 400],  # 2.0 * k
+        ],
+    )
+    def test_flags_beyond_float_range_are_bad_spec_exit_1(self, capsys, argv):
+        assert main(["validate", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad spec from flags: ") and "internal error" not in err
+
+    def test_spec_file_k_beyond_float_range_is_malformed_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"k": 1e400, "factors": [{"nu": 0.5, "a": 1.0}]}')
+        assert main(["validate", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "malformed spec file" in err and "k must be an integer, got inf" in err
+
     def test_missing_spec_file_exit_1(self, capsys):
         assert main(["validate", "--spec", "/nonexistent/spec.json"]) == 1
 
@@ -159,6 +198,19 @@ class TestValidate:
         reason = r"^integral does not exist: k = -1 violates k >= 0 \("
         with pytest.raises(InvalidSpec, match=reason):
             quadrature.integrate(identity.make_spec(-1, [0.5], [1.0]), 10.0)
+
+
+def read_csv(path):
+    """(meta, rows) of a sweep CSV; each row is (b, sum, quad, diff, valid, class)
+    with the four floats parsed by float()."""
+    meta_line, header, *lines = pathlib.Path(path).read_text().splitlines()
+    assert meta_line.startswith("# meta: ")
+    assert header == ",".join(cli.CSV_COLUMNS)
+    rows = []
+    for line in lines:
+        *nums, valid, klass = line.split(",")
+        rows.append((*map(float, nums), valid == "true", klass))
+    return json.loads(meta_line[len("# meta: ") :]), rows
 
 
 class TestSweep:
@@ -196,15 +248,16 @@ class TestSweep:
 
     def test_round_trip_bitwise(self, tmp_path):
         _, out = self.run_sweep(tmp_path)
-        with open(out) as fh:
-            table = read_sweep_csv(fh)
-        spec = table.template
-        fresh = cli.run_sweep(spec, table.vary, [r.b for r in table.rows],
-                              terms=table.terms, t_max=table.t_max)
-        for parsed, direct in zip(table.rows, fresh.rows):
-            assert parsed.sum_value == direct.sum_value  # bitwise
-            assert parsed.quad_value == direct.quad_value
-            assert parsed.abs_diff == abs(parsed.sum_value - parsed.quad_value)
+        meta, rows = read_csv(out)
+        spec = identity.BesselProductSpec.from_dict(meta["spec"])
+        fresh = cli.run_sweep(spec, meta["vary"], [r[0] for r in rows],
+                              terms=meta["terms"], t_max=meta["t_max"])
+        assert len(rows) == len(fresh.rows) == 5
+        for (b, s, q, d, _, _), direct in zip(rows, fresh.rows):
+            assert b == direct.b  # bitwise
+            assert s == direct.sum_value
+            assert q == direct.quad_value
+            assert d == abs(s - q)
 
     def test_many_b_rows_equal_single_b_calls(self):
         # reproduce_sweeps.py sweeps many b per call, the benchmark one b per
@@ -231,24 +284,20 @@ class TestSweep:
 
     def test_rows_sorted_by_b(self, tmp_path):
         _, out = self.run_sweep(tmp_path, rng="6.0:0.1:5")  # descending input
-        with open(out) as fh:
-            table = read_sweep_csv(fh)
-        bs = [r.b for r in table.rows]
+        bs = [r[0] for r in read_csv(out)[1]]
         assert bs == sorted(bs)
 
     def test_degenerate_two_rows(self, tmp_path):
         rc, out = self.run_sweep(tmp_path, rng="1.0:1.5:2")
         assert rc == 0
-        with open(out) as fh:
-            assert len(read_sweep_csv(fh).rows) == 2
+        assert len(read_csv(out)[1]) == 2
 
     def test_invalid_rows_flagged_beyond_boundary(self, tmp_path):
         rc, out = self.run_sweep(tmp_path, rng="6.0:7.0:3")  # crosses b* = 6.087
         assert rc == 0
-        with open(out) as fh:
-            rows = read_sweep_csv(fh).rows
-        assert rows[0].valid and not rows[-1].valid
-        assert rows[-1].klass == "invalid"
+        rows = read_csv(out)[1]
+        assert rows[0][4] and not rows[-1][4]
+        assert rows[-1][5] == "invalid"
 
     def test_json_format(self, tmp_path):
         rc, out = self.run_sweep(tmp_path, name="s.json", fmt="json")
@@ -348,6 +397,13 @@ class TestCompare:
         assert rc == 0
         assert "PASS" in out
         assert "correction_term" in out and "band_limit_leakage" in out
+
+    def test_even_parity_correction_term_prints_plus_zero(self, capsys):
+        # k = 0: the parity sine is sin(0) = +0.0, so the term is +0, never -0
+        rc = main(["compare", "--nu", "0.5,1.5", "--a", "pi/16,1.0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "correction_term = 0.0000000000000000e+00\n" in out
 
     def test_rescale_path_passes(self, capsys):
         # slightly above the budget: direct summation invalid, compare goes

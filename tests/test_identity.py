@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from besselsum import identity
 from besselsum.errors import DomainError, InvalidSpec, SizeError
-from besselsum.specfun import OrderKind, classify_order
+from besselsum.specfun import is_negative_integer
 from besselsum.identity import (
     BesselProductSpec,
     ConvergenceClass,
@@ -58,8 +59,27 @@ class TestSpecType:
 
     def test_json_round_trip(self):
         spec = four_factor_spec()
-        again = BesselProductSpec.from_json(spec.to_json())
+        again = BesselProductSpec.from_json(json.dumps(spec.to_dict()))
         assert again == spec
+
+    @pytest.mark.parametrize(
+        "k, nus, scales",
+        [
+            (0, [0.5, 0.5], [1e308, 1e308]),  # sum of the scales
+            (0, [1e308, 1e308], [1.0, 1.0]),  # sum of the orders
+            (10**400, [0.5], [1.0]),  # 2.0 * k
+            (-(10**308), [0.5], [1.0]),  # lam = sum(nu) - 2k rounds to inf
+            (0, [-1e308, 1e308], [1.0, 1.0]),  # the t -> 0 exponent sums |nu|
+        ],
+    )
+    def test_beyond_float_range_rejected(self, k, nus, scales):
+        with pytest.raises(InvalidSpec, match="finite floats"):
+            make_spec(k, nus, scales)
+
+    @pytest.mark.parametrize("k", [1e400, 2.5, "2", None])
+    def test_from_dict_leaves_k_to_the_constructor(self, k):
+        with pytest.raises(InvalidSpec, match="k must be an integer"):
+            BesselProductSpec.from_dict({"k": k, "factors": [{"nu": 0.5, "a": 1.0}]})
 
     def test_lambda_is_derived(self):
         spec = three_factor_spec()
@@ -233,7 +253,7 @@ def _old_integral_ok(spec):
     """The integral's own three conditions: zero-limit exponent >= 0, lam > -N/2,
     and lam > 1 - N/2 when a zero beat exists."""
     n = spec.n_factors
-    neg_int = [v for v in spec.nus if classify_order(v) is OrderKind.NEGATIVE_INTEGER]
+    neg_int = [v for v in spec.nus if is_negative_integer(v)]
     if 2 * spec.k + math.fsum(abs(v) - v for v in neg_int) < -1e-12:
         return False
     if not spec.lam > -n / 2.0:
@@ -285,7 +305,7 @@ class TestIntegralConditions:
         assert not ok and "zero beat" in reason
 
     def test_near_integer_order_at_the_relaxed_bound(self):
-        # -0.9999999999999 is a negative integer to classify_order; at k = -1 the
+        # -0.9999999999999 is a negative integer to is_negative_integer; at k = -1 the
         # zero-limit exponent is -2e-13, inside the tolerance, so the t -> 0 limit
         # exists and R1 holds for the sum and the integral alike
         spec = make_spec(-1, [-0.9999999999999, 0.5], [0.5, 1.0])

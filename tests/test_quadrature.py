@@ -95,12 +95,6 @@ class TestIntegrate:
         q = integrate(spec, t_max_for_tail(spec, 1e-6))
         assert math.isfinite(q.value)
 
-    def test_result_dict(self):
-        q = integrate(make_spec(0, [1.5, 1.5], [1.0, 0.7]), 100.0)
-        d = q.to_dict()
-        assert set(d) == {"value", "panels", "t_max", "error_estimate", "tail_flagged"}
-        assert d["panels"] >= 1 and d["error_estimate"] >= 0
-
 
 class TestSumIntegralIdentity:
     def test_corpus(self, corpus):

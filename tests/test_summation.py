@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma, hyp2f1
 
 from besselsum import identity, summation
-from besselsum.errors import InvalidSpec, SizeError, ToleranceUnreachable
+from besselsum.errors import DomainError, InvalidSpec, SizeError, ToleranceUnreachable
 from besselsum.identity import ConvergenceClass, make_spec
 from besselsum.summation import (
     evaluate,
@@ -169,6 +169,15 @@ class TestEvaluate:
             evaluate(spec)
         with pytest.raises(InvalidSpec):
             evaluate(spec, terms=10, tol=1e-3)
+
+    def test_nan_tol_is_invalid(self):
+        with pytest.raises(InvalidSpec, match="tol must be positive, got nan"):
+            evaluate(make_spec(0, [0.5], [1.0]), tol=math.nan)
+
+    def test_nonfinite_sum_is_domain_error(self):
+        # J_nu for nu = 1e300 gives nan terms beside a finite (zero) bound
+        with pytest.raises(DomainError, match="leave the float range"):
+            evaluate(make_spec(0, [1e300], [1.0]), terms=10)
 
     def test_result_class_matches_report(self, corpus):
         for spec in corpus:
