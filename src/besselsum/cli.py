@@ -100,14 +100,8 @@ def _build_spec(args) -> BesselProductSpec:
             raise CliError(f"--spec: malformed spec file {args.spec}: {exc}") from exc
     if args.nu is None or args.a is None:
         raise CliError("either --spec or both --nu and --a are required")
-    nus = _parse_list(args.nu, "--nu")
-    scales = _parse_list(args.a, "--a")
-    if len(nus) != len(scales):
-        raise CliError(
-            f"--nu has {len(nus)} entries but --a has {len(scales)}; lengths must match"
-        )
     try:
-        return identity.make_spec(args.k, nus, scales)
+        return identity.make_spec(args.k, _parse_list(args.nu, "--nu"), _parse_list(args.a, "--a"))
     except InvalidSpec as exc:
         raise CliError(f"bad spec from flags: {exc}") from exc
 
@@ -138,24 +132,25 @@ def _render_validity(report, fmt: str, out, spec=None) -> None:
         print(f"[{rule.ident}] ({marker}) {rule.text}", file=out)
 
 
+def _print_invalid(exc: InvalidSpec, note: str = "") -> int:
+    """Print an InvalidSpec on stderr, its validity report (then `note`) when
+    it carries one, else its message; return exit code 2."""
+    if exc.report is None:
+        print(f"invalid spec: {exc}", file=sys.stderr)
+    else:
+        _render_validity(exc.report, "text", sys.stderr)
+        if note:
+            print(note, file=sys.stderr)
+    return 2
+
+
 def cmd_compute(args) -> int:
     spec = _build_spec(args)
-    if args.terms is not None and args.tol is not None:
-        raise CliError("--terms and --tol are mutually exclusive")
+    terms = args.terms if args.tol is None else None
     try:
-        if args.tol is not None:
-            result = summation.evaluate(spec, tol=args.tol, accelerate=not args.no_accel)
-        else:
-            result = summation.evaluate(
-                spec, terms=args.terms if args.terms is not None else 10,
-                accelerate=not args.no_accel,
-            )
+        result = summation.evaluate(spec, terms=terms, tol=args.tol, accelerate=not args.no_accel)
     except InvalidSpec as exc:
-        if exc.report is not None:
-            _render_validity(exc.report, "text", sys.stderr)
-        else:
-            print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
+        return _print_invalid(exc)
     except ToleranceUnreachable as exc:
         print(f"tolerance unreachable: {exc}", file=sys.stderr)
         return 2
@@ -264,42 +259,22 @@ def run_sweep(
 CSV_COLUMNS = ("b", "sum_value", "quad_value", "abs_diff", "valid", "class")
 
 
+def _row_values(r: SweepRow) -> tuple:
+    """A row's fields in CSV_COLUMNS order."""
+    return r.b, r.sum_value, r.quad_value, r.abs_diff, r.valid, r.klass
+
+
 def write_sweep_csv(table: SweepTable, fh) -> None:
     fh.write("# meta: " + json.dumps(table.meta_dict()) + "\n")
     fh.write(",".join(CSV_COLUMNS) + "\n")
     for r in table.rows:
-        fh.write(
-            ",".join(
-                (
-                    _fmt(r.b),
-                    _fmt(r.sum_value),
-                    _fmt(r.quad_value),
-                    _fmt(r.abs_diff),
-                    str(r.valid).lower(),
-                    r.klass,
-                )
-            )
-            + "\n"
-        )
+        fields = (_fmt(v) if isinstance(v, float) else str(v).lower() for v in _row_values(r))
+        fh.write(",".join(fields) + "\n")
 
 
 def sweep_to_json(table: SweepTable) -> str:
-    return json.dumps(
-        {
-            "meta": table.meta_dict(),
-            "rows": [
-                {
-                    "b": r.b,
-                    "sum_value": r.sum_value,
-                    "quad_value": r.quad_value,
-                    "abs_diff": r.abs_diff,
-                    "valid": r.valid,
-                    "class": r.klass,
-                }
-                for r in table.rows
-            ],
-        }
-    )
+    rows = [dict(zip(CSV_COLUMNS, _row_values(r))) for r in table.rows]
+    return json.dumps({"meta": table.meta_dict(), "rows": rows})
 
 
 def _parse_range(text: str) -> list[float]:
@@ -323,10 +298,7 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep requires --vary, --range and --out")
     b_values = _parse_range(args.range)
     try:
-        table = run_sweep(
-            spec, args.vary, b_values, terms=args.terms if args.terms is not None else 10,
-            t_max=args.t_max if args.t_max is not None else 10.0,
-        )
+        table = run_sweep(spec, args.vary, b_values, terms=args.terms, t_max=args.t_max)
     except (ConfigError, InvalidSpec) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
@@ -344,16 +316,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = _build_spec(args)
-    terms = args.terms if args.terms is not None else 10
     try:
-        result = summation.evaluate(spec, terms=terms, accelerate=not args.no_accel)
+        result = summation.evaluate(spec, terms=args.terms, accelerate=not args.no_accel)
     except InvalidSpec as exc:
-        if exc.report is not None:
-            _render_validity(exc.report, "text", sys.stderr)
-            print("invalid spec even after rescaling; nothing to compare", file=sys.stderr)
-        else:
-            print(f"invalid spec: {exc}", file=sys.stderr)
-        return 2
+        return _print_invalid(exc, "invalid spec even after rescaling; nothing to compare")
     t_max = args.t_max if args.t_max is not None else quadrature.t_max_for_tail(spec, 1e-6)
     try:
         quad = quadrature.integrate(spec, t_max)
@@ -370,14 +336,10 @@ def cmd_compare(args) -> int:
         f"quad_value = {_fmt(quad.value)} (t_max={_fmt(quad.t_max)}, "
         f"panels={quad.panels}, error_estimate={_fmt(quad.error_estimate)})"
     )
-    if spec.sum_scales < TWO_PI * (1.0 - 1e-12):
-        try:
-            corr = quadrature.correction_term(spec)
-            print(f"correction_term = {_fmt(corr)}")
-        except (DampingError, InvalidSpec) as exc:
-            print(f"correction_term = n/a ({exc})")
-    else:
-        print("correction_term = n/a (sum of scales >= 2*pi)")
+    try:
+        print(f"correction_term = {_fmt(quadrature.correction_term(spec))}")
+    except (DampingError, DomainError, InvalidSpec) as exc:
+        print(f"correction_term = n/a ({exc})")
     try:
         leak = quadrature.band_limit_check(spec)
         print(f"band_limit_leakage = {_fmt(leak)}")
@@ -399,8 +361,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compute", help="evaluate the sum for a spec")
     _add_spec_flags(p)
-    p.add_argument("--terms", type=int, default=None, help="truncation M (default 10)")
-    p.add_argument("--tol", type=float, default=None, help="target error bound")
+    group = p.add_mutually_exclusive_group()
+    # a string default goes through type=int, so an explicit --terms 10 still
+    # counts as given and excludes --tol
+    group.add_argument("--terms", type=int, default="10", help="truncation M (default 10)")
+    group.add_argument("--tol", type=float, default=None, help="target error bound")
     p.add_argument("--no-accel", action="store_true", help="disable series acceleration")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_compute)
@@ -414,8 +379,8 @@ def build_parser() -> _Parser:
     _add_spec_flags(p)
     p.add_argument("--vary", type=int, default=None, help="index of the varied factor")
     p.add_argument("--range", default=None, help="start:stop:count (pi-expressions allowed)")
-    p.add_argument("--terms", type=int, default=None, help="truncation M (default 10)")
-    p.add_argument("--t-max", dest="t_max", type=float, default=None,
+    p.add_argument("--terms", type=int, default=10, help="truncation M (default 10)")
+    p.add_argument("--t-max", dest="t_max", type=float, default=10.0,
                    help="quadrature truncation (default 10)")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -423,7 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="sum vs quadrature oracle with bounds")
     _add_spec_flags(p)
-    p.add_argument("--terms", type=int, default=None, help="truncation M (default 10)")
+    p.add_argument("--terms", type=int, default=10, help="truncation M (default 10)")
     p.add_argument("--t-max", dest="t_max", type=float, default=None,
                    help="quadrature truncation (default: tail-bound driven)")
     p.add_argument("--no-accel", action="store_true", help="disable series acceleration")

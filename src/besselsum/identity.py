@@ -180,6 +180,14 @@ class ValidityReport:
         }
 
 
+def scale_budget(sum_a: float) -> int:
+    """Where a sum of scales sits against the 2*pi budget: -1 below it, 0 on
+    it (within BOUNDARY_RTOL), +1 beyond it."""
+    if abs(sum_a - TWO_PI) <= BOUNDARY_RTOL * TWO_PI:
+        return 0
+    return 1 if sum_a > TWO_PI else -1
+
+
 def _signed_sums(scales) -> tuple[list[float], float]:
     """All sums sum_j s_j a_j with s_0 = +1, and the zero-beat tolerance.
 
@@ -281,8 +289,8 @@ def check_validity(spec: BesselProductSpec) -> ValidityReport:
         )
 
     # R2: scales budget
-    on_boundary = abs(sum_a - TWO_PI) <= BOUNDARY_RTOL * TWO_PI
-    needs_rescale = (not on_boundary) and sum_a > TWO_PI
+    side = scale_budget(sum_a)
+    on_boundary, needs_rescale = side == 0, side > 0
     if needs_rescale:
         rules.append(
             Rule(
@@ -377,7 +385,7 @@ def rescale(spec: BesselProductSpec) -> tuple[BesselProductSpec, float, float]:
     Raises DomainError when the prefactor overflows or underflows to 0.
     """
     sum_a = spec.sum_scales
-    if sum_a <= TWO_PI * (1.0 + BOUNDARY_RTOL):
+    if scale_budget(sum_a) <= 0:
         return spec, 1.0, 1.0
     A = sum_a / TWO_PI
     expo = spec.sum_nu - 1.0 - 2.0 * spec.k
@@ -431,6 +439,25 @@ def power_product_array(nus, scales, lam: float, t: np.ndarray) -> np.ndarray:
 def integrand_array(spec: BesselProductSpec, t: np.ndarray) -> np.ndarray:
     """Vectorized integrand over strictly positive t (no validity re-check)."""
     return power_product_array(spec.nus, spec.scales, spec.lam, t)
+
+
+def envelope_constant(spec: BesselProductSpec) -> float:
+    """prod_j sqrt(2/(pi a_j)) * 2^N: large-argument envelope amplitude times
+    the cosine-product expansion count.  The integrand's envelope is this
+    constant times t^(-p), p = lam + N/2."""
+    c = 2.0 ** spec.n_factors
+    for a in spec.scales:
+        c *= math.sqrt(2.0 / (math.pi * a))
+    return c
+
+
+def envelope_reach(c: float, q: float, tol: float, cap: float) -> float:
+    """Where the power law c * x^(-q), q > 0, falls to tol: 0 when c <= tol,
+    inf at or beyond cap.  Inverted in log space: 1/q blows up as q -> 0+."""
+    if c <= tol:
+        return 0.0
+    log_x = math.log(c / tol) / q
+    return math.inf if log_x >= math.log(cap) else math.exp(log_x)
 
 
 def integrand(spec: BesselProductSpec, t: float) -> float:

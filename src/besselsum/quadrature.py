@@ -8,10 +8,10 @@ spec, and closes the sum-integral gap for generalized odd-parity inputs).
 ``band_limit_check`` measures the spectral energy of the integrand beyond
 its analytic bandwidth sum(a)/(2*pi).
 
-These oracles are method-independent from the summation module: plain
-truncation plus an envelope tail bound, never series acceleration.  Their
-rules are fixed module constants, not settings: 16-node panels with an
-8-node pass for the error estimate, 35 clustered 32-node panels up to
+These oracles import nothing from the summation module: plain truncation
+plus the envelope tail bound of ``identity``, never series acceleration.
+Their rules are fixed module constants, not settings: 16-node panels with
+an 8-node pass for the error estimate, 35 clustered 32-node panels up to
 y = 20 for the correction, and 8192 samples at pi/(2 sum a) with a 5 %
 guard band for the band-limit check.
 """
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import identity, specfun, summation
-from .errors import ConfigError, DampingError, InvalidSpec, SizeError
+from . import identity, specfun
+from .errors import ConfigError, DampingError, DomainError, InvalidSpec, SizeError
 from .identity import TWO_PI, BesselProductSpec
 
 #: most panels one quadrature may allocate
@@ -94,15 +94,6 @@ def _fine_coarse(fun, edges: np.ndarray) -> tuple[float, float]:
     return value, abs(value - _panel_quad(fun, edges, _COARSE_NODES))
 
 
-def _tail_constant(spec: BesselProductSpec) -> tuple[float, float]:
-    """(p, C_env/(p-1)) of the envelope tail C_env t^(-p), p = lam + N/2;
-    the constant is nan for p <= 1, where the tail diverges."""
-    p = spec.lam + spec.n_factors / 2.0
-    if p <= 1.0:
-        return p, math.nan
-    return p, summation.envelope_constant(spec) / (p - 1.0)
-
-
 def tail_bound(spec: BesselProductSpec, t_max: float) -> tuple[float, bool]:
     """Envelope bound on the discarded tail beyond t_max.
 
@@ -110,10 +101,10 @@ def tail_bound(spec: BesselProductSpec, t_max: float) -> tuple[float, bool]:
     p = lam + N/2 > 1.  For p <= 1 the envelope tail diverges and the bound
     is reported as zero with the flagged bit set.
     """
-    p, c = _tail_constant(spec)
+    p = spec.lam + spec.n_factors / 2.0
     if p <= 1.0:
         return 0.0, True
-    return c * t_max ** (1.0 - p), False
+    return identity.envelope_constant(spec) / (p - 1.0) * t_max ** (1.0 - p), False
 
 
 def t_max_for_tail(spec: BesselProductSpec, tail_tol: float, cap: float = 2e4) -> float:
@@ -121,16 +112,11 @@ def t_max_for_tail(spec: BesselProductSpec, tail_tol: float, cap: float = 2e4) -
 
     For p <= 1 (flagged zero tail bound) the cap is returned directly.
     """
-    p, c = _tail_constant(spec)
+    p = spec.lam + spec.n_factors / 2.0
     if p <= 1.0:
         return cap
-    if c <= tail_tol:
-        return min(50.0, cap)
-    # log space: the exponent 1/(p-1) blows up as p -> 1+
-    log_t = math.log(c / tail_tol) / (p - 1.0)
-    if log_t >= math.log(cap):
-        return float(cap)
-    return float(min(max(math.exp(log_t), 50.0), cap))
+    c = identity.envelope_constant(spec) / (p - 1.0)
+    return float(min(max(identity.envelope_reach(c, p - 1.0, tail_tol, cap), 50.0), cap))
 
 
 def integrate(spec: BesselProductSpec, t_max: float) -> QuadratureResult:
@@ -172,10 +158,11 @@ def integrate_power_product(nus, scales, lam: float, t_max: float) -> tuple[floa
 def correction_term(spec: BesselProductSpec) -> float:
     """Numerical value of the summation-theorem correction integral.
 
-    Requires net exponential damping, i.e. sum(a) < 2*pi.  For every
-    representable spec the parity sum(nu) - lam = 2k is even and the value
-    must vanish (to roundoff of the parity sine); a nonzero value flags a
-    broken phase convention.
+    Requires net exponential damping, i.e. sum(a) below the 2*pi budget
+    (``identity.scale_budget``), else DampingError; an integral that is not
+    a finite float raises DomainError.  For every representable spec the
+    parity sum(nu) - lam = 2k is even and the value must vanish (to roundoff
+    of the parity sine); a nonzero value flags a broken phase convention.
     """
     _require_integrable(spec)
     return correction_term_power_product(spec.nus, spec.scales, spec.lam)
@@ -195,7 +182,7 @@ def correction_term_power_product(nus, scales, lam: float) -> float:
     """
     nus, scales, lam = tuple(map(float, nus)), tuple(map(float, scales)), float(lam)
     sum_a = math.fsum(scales)
-    if sum_a >= TWO_PI * (1.0 - 1e-12):
+    if identity.scale_budget(sum_a) >= 0:
         raise DampingError(
             f"sum of scales {sum_a:.6g} must be < 2*pi for the "
             f"correction integrand to damp"
@@ -212,8 +199,11 @@ def correction_term_power_product(nus, scales, lam: float) -> float:
     u = np.linspace(0.0, 1.0, _CORRECTION_PANELS + 1)
     edges = _Y_MAX * u * u
     edges[0] = 1e-12
+    value = _panel_quad(g, edges, _CORRECTION_NODES)
+    if not math.isfinite(value):
+        raise DomainError(f"correction integral is {value}: its integrand leaves the float range")
     # 0.0 - x, not -x: with parity = sin(0) = +0.0 the value reads 0, not -0
-    return 0.0 - 2.0 * parity * _panel_quad(g, edges, _CORRECTION_NODES)
+    return 0.0 - 2.0 * parity * value
 
 
 def band_limit_check(spec: BesselProductSpec) -> float:
@@ -221,10 +211,10 @@ def band_limit_check(spec: BesselProductSpec) -> float:
 
     The integrand extended evenly is sampled on a centered grid of 8192
     points spaced pi/(2 sum a), which puts the Nyquist frequency at twice
-    the band edge, windowed with a 140 dB Dolph-Chebyshev window, and
-    Fourier analyzed.  Returns the energy fraction at |frequency| above
-    sum(a)/(2*pi) * 1.05, a 5 % guard band; valid specs with sum(a) < 2*pi
-    stay below 1e-6 by a wide margin.
+    the band edge, windowed with a Kaiser window of beta = 19 (peak sidelobe
+    -147.5 dB), and Fourier analyzed.  Returns the energy fraction at
+    |frequency| above sum(a)/(2*pi) * 1.05, a 5 % guard band; valid specs
+    with sum(a) < 2*pi stay below 1e-6 by a wide margin.
     """
     _require_integrable(spec)
     sum_a = spec.sum_scales
@@ -235,10 +225,7 @@ def band_limit_check(spec: BesselProductSpec) -> float:
     nonzero = t != 0.0
     x[nonzero] = identity.integrand_array(spec, np.abs(t[nonzero]))
     x[~nonzero] = identity.zero_limit(spec)
-    from scipy.signal.windows import chebwin  # scipy.signal is slow to import
-
-    window = chebwin(n, at=140)
-    power = np.abs(np.fft.fft(x * window)) ** 2
+    power = np.abs(np.fft.fft(x * np.kaiser(n, 19.0))) ** 2
     freqs = np.fft.fftfreq(n, dt)
     total = float(power.sum())
     if total == 0.0:

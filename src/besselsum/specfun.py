@@ -45,23 +45,18 @@ def is_negative_integer(nu: float) -> bool:
 def bessel_j(nu, x: float) -> float:
     """Bessel function of the first kind J_nu(x) for real nu, x >= 0.
 
-    Negative integer orders go through the reflection J_{-n} = (-1)^n J_n,
-    exactly as computed.  J_nu(0) is 1 for nu = 0, 0 for nu > 0 (and for
-    negative integer nu), and raises DivergentAtZero for negative
-    non-integer nu.  For x > 0 the value is ``jv_array``'s.
+    J_nu(0) is 1 for nu = 0, +0 for nu > 0 and for negative integer nu, and
+    raises DivergentAtZero for negative non-integer nu.  For x > 0 the value
+    is ``jv_array``'s, which reflects negative integer orders.
     """
     v = float(nu)
     x = float(x)
     if x < 0:
         raise DomainError(f"x must be non-negative, got {x}")
-    if is_negative_integer(v):
-        n = -round(v)
-        sign = -1.0 if n % 2 else 1.0
-        return sign * bessel_j(float(n), x)
     if x == 0.0:
         if abs(v) <= INTEGER_TOL:
             return 1.0
-        if v > 0:
+        if is_negative_integer(v) or v > 0:
             return 0.0
         raise DivergentAtZero(f"J_nu(0) diverges for negative non-integer nu={v}")
     return float(jv_array(v, np.array([x]))[0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import identity
 from .errors import DomainError, InvalidSpec, SizeError, ToleranceUnreachable
-from .identity import BesselProductSpec, ConvergenceClass
+from .identity import BesselProductSpec, ConvergenceClass, envelope_constant
 
 #: fixed block size for deterministic blocked accumulation
 BLOCK = 4096
@@ -54,15 +54,6 @@ class SummationResult:
         }
 
 
-def envelope_constant(spec: BesselProductSpec) -> float:
-    """prod_j sqrt(2/(pi a_j)) * 2^N: large-argument envelope amplitude times
-    the cosine-product expansion count."""
-    c = 2.0 ** spec.n_factors
-    for a in spec.scales:
-        c *= math.sqrt(2.0 / (math.pi * a))
-    return c
-
-
 def _require_valid(spec: BesselProductSpec) -> identity.ValidityReport:
     report = identity.check_validity(spec)
     if not report.valid:
@@ -72,9 +63,18 @@ def _require_valid(spec: BesselProductSpec) -> identity.ValidityReport:
 
 
 def _terms(nus, scales, lam: float, m_max: int) -> np.ndarray:
-    """Summand terms for m = 1..m_max, computed in ascending 4096-blocks."""
+    """Summand terms for m = 1..m_max, computed in ascending 4096-blocks.
+
+    The one check of a term count: InvalidSpec unless it is a non-negative
+    integer, SizeError beyond MAX_TERMS.
+    """
     if m_max > MAX_TERMS:
         raise SizeError(f"{m_max} terms requested, beyond the cap of {MAX_TERMS}")
+    if not m_max >= 0:  # nan included
+        raise InvalidSpec(f"terms must be non-negative, got {m_max}")
+    if m_max != int(m_max):
+        raise InvalidSpec(f"terms must be an integer, got {m_max}")
+    m_max = int(m_max)
     out = np.empty(m_max)
     for lo in range(1, m_max + 1, BLOCK):
         hi = min(lo + BLOCK - 1, m_max)
@@ -102,15 +102,13 @@ def sum_power_product(nus, scales, lam: float, terms: int) -> float:
     nus = tuple(float(v) for v in nus)
     scales = tuple(float(a) for a in scales)
     m0 = 0.5 * identity.power_product_zero_limit(nus, scales, lam)
-    return _blocked_sum(m0, _terms(nus, scales, lam, max(int(terms), 0)))
+    return _blocked_sum(m0, _terms(nus, scales, lam, terms))
 
 
 def sum_truncated(spec: BesselProductSpec, terms: int) -> float:
     """Partial sum over m = 0..terms of a valid spec, in ascending order."""
     _require_valid(spec)
-    if terms < 0 or terms != int(terms):
-        raise InvalidSpec(f"terms must be a non-negative integer, got {terms!r}")
-    return sum_power_product(spec.nus, spec.scales, spec.lam, int(terms))
+    return sum_power_product(spec.nus, spec.scales, spec.lam, terms)
 
 
 def _analyse(spec: BesselProductSpec):
@@ -135,13 +133,8 @@ def _required(c: float, q: float, tol: float) -> int:
     """Smallest M >= 10 with c * M^(-q) <= tol (ties rounded up)."""
     if not tol > 0:  # nan included
         raise InvalidSpec(f"tol must be positive, got {tol}")
-    if c <= tol:
-        return 10
-    # log space: 1/q = 1/(p-1) blows up as p -> 1+ in the absolute case
-    log_m = math.log(c / tol) * (1.0 / q)
-    if log_m > math.log(1e15):
-        return 10**15 + 1
-    return max(10, int(math.ceil(math.exp(log_m))))
+    m = identity.envelope_reach(c, q, tol, 1e15)
+    return 10**15 + 1 if m == math.inf else max(10, math.ceil(m))
 
 
 def truncation_bound(spec: BesselProductSpec, terms: int) -> float:
@@ -213,10 +206,11 @@ def evaluate(
     bound, M chosen by inverting the truncation bound, capped at ``m_max``)
     must be given.  Specs with sum of scales beyond 2*pi are rescaled first
     and the result carries the prefactor A^(sum(nu)-1-2k).  Conditional-class
-    specs are accelerated unless disabled; the error bound is then the last
-    averaging increment instead of the a priori power law.  A fixed
-    truncation below 10 terms reports error_bound = inf: no bound available.
-    A sum that is not a finite float raises DomainError.
+    specs are accelerated unless disabled or the averaged second half of the
+    partial sums starts before a factor's turning point; the error bound is
+    then the last averaging increment instead of the a priori power law.  A
+    fixed truncation below 10 terms reports error_bound = inf: no bound
+    available.  A sum that is not a finite float raises DomainError.
     """
     if (terms is None) == (tol is None):
         raise InvalidSpec("exactly one of terms= or tol= must be given")
@@ -224,11 +218,8 @@ def evaluate(
     report, aliased, c, q = _analyse(work)
     conditional = report.convergence_class is ConvergenceClass.CONDITIONAL
 
-    if terms is not None:
-        m_used = int(terms)
-        if m_used < 0:
-            raise InvalidSpec(f"terms must be non-negative, got {terms}")
-    else:
+    m_used = terms
+    if terms is None:
         m_used = _required(c, q, tol / abs(prefactor))
         if m_used > m_max:
             if not (conditional and accelerate):
@@ -239,9 +230,12 @@ def evaluate(
 
     m0 = identity.summand(work, 0)
     vals = _terms(work.nus, work.scales, work.lam, m_used)
+    m_used = len(vals)  # a Python int, whatever number type terms was
     value, err = _blocked_sum(m0, vals), None
     accelerated = False
-    if conditional and accelerate and m_used >= 64:
+    # the averaged half must start past every factor's turning point a m = max(1, |nu|)
+    past_turning = (m_used // 2) * min(work.scales) >= max(1.0, max(map(abs, work.nus)))
+    if conditional and accelerate and m_used >= 64 and past_turning:
         acc = _accelerate(m0 + np.cumsum(vals), aliased)
         if acc is not None:
             value, err = acc

@@ -141,6 +141,21 @@ class TestCompute:
         assert rc == 1
         assert "lengths must match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("terms", ["5", "10"])  # 10 is also the default
+    def test_terms_and_tol_exclusive_exit_1(self, capsys, terms):
+        rc = main(["compute", "--nu", "0.5", "--a", "1.0", "--terms", terms, "--tol", "1e-6"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert "not allowed with argument --terms" in err
+
+    def test_no_accelerated_bound_before_the_turning_point(self, capsys):
+        # averaging once printed value 0 with error_bound 0 here; the
+        # integral is about 5.6e161
+        rc = main(["compute", "--nu", "0.5", "--a", "5e-324", "--tol", "1e-6"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("tolerance unreachable: ")
+
 
 class TestValidate:
     def test_negative_integer_extension_logged(self, capsys):
@@ -412,7 +427,13 @@ class TestCompare:
         out = capsys.readouterr().out
         assert rc == 0
         assert "rescale path" in out
-        assert "correction_term = n/a" in out
+        assert "correction_term = n/a (sum of scales 6.4 must be < 2*pi" in out
+
+    def test_non_finite_correction_term_is_not_printed(self, capsys):
+        rc = main(["compare", "--nu=-60.5,62", "--a=1.0,2.0", "--terms", "2000"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "correction_term = n/a (correction integral is nan" in out
 
     def test_cli_cold_spec_sums_the_rescaled_spec(self, capsys):
         # sum(a) = 2*pi * 1.01: compare prints the prefactor times the sum of
@@ -472,6 +493,19 @@ def test_import_leaves_scipy_signal_unloaded():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_compare_leaves_scipy_signal_unloaded():
+    # band_limit_check windows with numpy's Kaiser window: a compare process
+    # never pays for importing scipy.signal
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; from besselsum.cli import main; "
+            "rc = main(['compare', '--nu', '0.5,1.5', '--a', 'pi/16,1.0']); "
+            "assert rc == 0 and 'scipy.signal' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "band_limit_leakage = " in proc.stdout
 
 
 def test_console_script_entry_point():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from besselsum import identity
-from besselsum.errors import DomainError, InvalidSpec, SizeError
+from besselsum import identity, quadrature, summation
+from besselsum.errors import DampingError, DomainError, InvalidSpec, SizeError
 from besselsum.specfun import is_negative_integer
 from besselsum.identity import (
     BesselProductSpec,
@@ -341,6 +341,28 @@ class TestRescale:
         spec = make_spec(0, [1.5, 1.5], [PI, PI])
         scaled, prefactor, big_a = rescale(spec)
         assert scaled == spec and big_a == 1.0
+
+    def test_one_float_past_the_boundary_is_rescaled(self):
+        # fl(2*pi*(1 + 1e-12)) is just past the boundary tolerance: the checker
+        # asks for a rescale, so evaluate must rescale rather than raise R2
+        spec = make_spec(0, [1.5], [2 * PI * (1 + 1e-12)])
+        assert check_validity(spec).needs_rescale
+        result = summation.evaluate(spec, terms=100)
+        assert result.rescaled and result.rescale_A > 1.0
+
+    @pytest.mark.parametrize("offset, side", [(-2e-12, -1), (0.0, 0), (2e-12, 1)])
+    def test_budget_readers_agree(self, offset, side):
+        spec = make_spec(0, [1.5, 1.5], [PI * (1 + offset)] * 2)
+        assert identity.scale_budget(spec.sum_scales) == side
+        report = check_validity(spec)
+        assert report.needs_rescale is (side > 0)
+        assert any(r.ident == "R2-boundary" for r in report.triggered_rules) is (side == 0)
+        assert (rescale(spec)[2] != 1.0) is (side > 0)
+        if side < 0:
+            assert math.isfinite(quadrature.correction_term(spec))
+        else:
+            with pytest.raises(DampingError):
+                quadrature.correction_term(spec)
 
     @pytest.mark.parametrize(
         "spec, expo",

@@ -1,11 +1,13 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from besselsum import identity, quadrature, specfun, summation
-from besselsum.errors import ConfigError, DampingError, InvalidSpec, SizeError
+from besselsum.errors import ConfigError, DampingError, DomainError, InvalidSpec, SizeError
 from besselsum.identity import make_spec
 from besselsum.quadrature import (
     band_limit_check,
@@ -160,6 +162,12 @@ class TestCorrectionTerm:
         with pytest.raises(DampingError):
             correction_term(make_spec(0, [1.5, 1.5], [PI, PI]))
 
+    def test_non_finite_integral_is_a_domain_error(self):
+        # ive(-60.5, 1e-12) at the first node overflows to nan; the product
+        # with ive(62, 2e-12) = 0 stays nan instead of a finite value
+        with pytest.raises(DomainError, match="correction integral is nan"):
+            correction_term(make_spec(0, [-60.5, 62.0], [1.0, 2.0]))
+
     def test_odd_parity_closes_the_gap(self):
         # sum(nu) - lam = 1: the correction is nonzero and equals
         # sum - integral within combined tail bounds
@@ -288,3 +296,17 @@ def test_t_max_for_tail_inverts_bound():
 def test_t_max_for_tail_flagged_case_returns_cap():
     spec = make_spec(0, [0.5], [1.0])  # p = 1
     assert t_max_for_tail(spec, 1e-6, cap=123.0) == 123.0
+
+
+def test_quadrature_imports_nothing_from_summation():
+    # the oracles check the sum independently: the envelope and the 2*pi
+    # budget they share with it live in identity
+    tree = ast.parse(pathlib.Path(quadrature.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("summation" in name for name in imported)

@@ -73,7 +73,8 @@ class TestBesselJ:
         assert bessel_j(0.0, 0.0) == 1.0
         assert bessel_j(2.0, 0.0) == 0.0
         assert bessel_j(0.5, 0.0) == 0.0
-        assert bessel_j(-3.0, 0.0) == 0.0  # via reflection
+        assert bessel_j(-3.0, 0.0) == 0.0
+        assert math.copysign(1.0, bessel_j(-1.0, 0.0)) == 1.0  # +0, not -0
         assert bessel_j(5e-13, 0.0) == bessel_j(-5e-13, 0.0) == 1.0  # order 0 to 1e-12
         assert bessel_j(2e-12, 0.0) == 0.0
 

@@ -74,6 +74,19 @@ def test_sum_truncated_rejects_invalid():
         sum_truncated(make_spec(1, [0.0], [1.0]), 100)  # R3 violated
 
 
+def test_term_count_must_be_a_non_negative_integer():
+    # one check for every entry point: no silent truncation of 2.5 to 2, no
+    # silent clamp of -1 to 0
+    spec = make_spec(0, [0.5, 1.5], [1.0, 2.0])
+    with pytest.raises(InvalidSpec, match="terms must be an integer, got 2.5"):
+        evaluate(spec, terms=2.5)
+    with pytest.raises(InvalidSpec, match="terms must be an integer, got 2.5"):
+        sum_truncated(spec, 2.5)
+    with pytest.raises(InvalidSpec, match="terms must be non-negative, got -1"):
+        summation.sum_power_product(spec.nus, spec.scales, spec.lam, -1)
+    assert type(evaluate(spec, terms=np.int64(20)).terms_used) is int
+
+
 class TestTruncationBound:
     def test_absolute_power_law(self):
         # nu=(3/2,3/2), k=0: p = 4, bound ~ M^-3; doubling M divides by 8
@@ -229,6 +242,17 @@ class TestOneAnalysis:
                 r = evaluate(spec, terms=m, accelerate=False)
                 assert r.error_bound == truncation_bound(spec, m)
                 assert r.value == sum_truncated(spec, m)
+
+
+def test_no_acceleration_before_the_turning_point():
+    # a = 5e-324: every a m of the averaged half is far below the turning
+    # point, where averaging reported value 0 with error_bound 0 although
+    # the integral is about 5.6e161
+    spec = make_spec(0, [0.5], [5e-324])
+    r = evaluate(spec, terms=1000)
+    assert not r.accelerated and r.error_bound > 1e161
+    with pytest.raises(ToleranceUnreachable):
+        evaluate(spec, tol=1e-6, m_max=10**4)
 
 
 @pytest.mark.parametrize("terms", [summation.MAX_TERMS + 1, 10**12])
