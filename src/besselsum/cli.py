@@ -19,6 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import identity, quadrature, summation
 from .errors import (
     ConfigError,
@@ -173,7 +175,7 @@ def cmd_validate(args) -> int:
     return 0 if report.valid else 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a sweep keeps one per b
 class SweepRow:
     b: float
     sum_value: float
@@ -202,12 +204,21 @@ class SweepTable:
         }
 
 
-def _raw_sum(spec: BesselProductSpec, terms: int) -> float:
-    """Truncated sum without the validity gate (sweeps cross the boundary)."""
+def _sweep_values(spec: BesselProductSpec, report, terms: int, t_max) -> tuple[float, float]:
+    """(sum, quadrature value) of a sweep row, nan where either does not exist:
+    ``sum_power_product``'s and ``integrate``'s values, from one point array of
+    the summand points m = 1..terms, then the 16-node points of the panels."""
+    edges = quadrature._equal_panels(t_max, spec.scales)
     try:
-        return summation.sum_power_product(spec.nus, spec.scales, spec.lam, terms)
-    except InvalidSpec:
-        return float("nan")
+        m0 = 0.5 * identity.zero_limit(spec)
+    except InvalidSpec:  # R1: no sum, and no integral either
+        return math.nan, math.nan
+    integrable, _ = report.integrand_conditions()
+    ts, half = quadrature._panel_nodes(edges, quadrature._NODES) if integrable else ([], None)
+    points = np.concatenate([np.arange(1, terms + 1, dtype=float), ts])
+    vals = identity.integrand_array(spec, points)
+    q = quadrature._panel_sum(vals[terms:], half, quadrature._NODES) if integrable else math.nan
+    return summation._blocked_sum(m0, vals[:terms]), q
 
 
 def run_sweep(
@@ -218,11 +229,14 @@ def run_sweep(
     t_max: float = 10.0,
 ) -> SweepTable:
     """One row per b: raw truncated sum, quadrature value (nan where the
-    integral does not exist), their gap, validity.  A bad t_max raises."""
+    integral does not exist), their gap, validity, from one analysis of the
+    row's spec.  A bad vary, terms or t_max raises."""
     if not 0 <= vary < template.n_factors:
         raise ConfigError(f"vary index {vary} out of range for N={template.n_factors}")
-    if terms < 0:
-        raise ConfigError(f"terms must be non-negative, got {terms}")
+    try:
+        count = summation._term_count(terms)
+    except InvalidSpec as exc:
+        raise ConfigError(str(exc)) from exc
     others = math.fsum(a for i, a in enumerate(template.scales) if i != vary)
     b_star = TWO_PI - others
     rows = []
@@ -231,11 +245,7 @@ def run_sweep(
         factors[vary] = identity.Factor(factors[vary].nu, b)
         spec = BesselProductSpec(k=template.k, factors=tuple(factors))
         report = identity.check_validity(spec)
-        s = _raw_sum(spec, terms)
-        try:
-            q = quadrature.integrate(spec, t_max).value
-        except InvalidSpec:
-            q = float("nan")
+        s, q = _sweep_values(spec, report, count, t_max)
         rows.append(
             SweepRow(
                 b=b,

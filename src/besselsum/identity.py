@@ -166,6 +166,14 @@ class ValidityReport:
     negative_integer_set: tuple[int, ...]
     triggered_rules: tuple[Rule, ...] = field(default_factory=tuple)
 
+    def integrand_conditions(self) -> tuple[bool, str]:
+        """(ok, reasons) for the integral alone: the violated rules less R2
+        (the 2*pi budget) and, without a zero beat, R4 (the 2*pi boundary,
+        where the sampling, not the integrand, needs it)."""
+        sum_only = ("R2",) if self.beat_witness is not None else ("R2", "R4")
+        reasons = [r.text for r in self.triggered_rules if r.violated and r.ident not in sum_only]
+        return not reasons, "; ".join(reasons)
+
     def to_dict(self) -> dict:
         return {
             "valid": self.valid,
@@ -361,16 +369,9 @@ def check_validity(spec: BesselProductSpec) -> ValidityReport:
 
 
 def integrand_conditions_ok(spec: BesselProductSpec) -> tuple[bool, str]:
-    """Existence conditions for the integral alone: ``check_validity``'s.
-
-    Returns (ok, reasons) from the violated rules, less the two that bind
-    only the sum: R2 (the 2*pi budget) and R4 when no zero beat triggers it
-    (the 2*pi boundary, where the sampling, not the integrand, needs it).
-    """
-    report = check_validity(spec)
-    sum_only = ("R2",) if report.beat_witness is not None else ("R2", "R4")
-    reasons = [r.text for r in report.triggered_rules if r.violated and r.ident not in sum_only]
-    return not reasons, "; ".join(reasons)
+    """Existence conditions for the integral alone: ``check_validity``'s,
+    read by ``ValidityReport.integrand_conditions``."""
+    return check_validity(spec).integrand_conditions()
 
 
 def rescale(spec: BesselProductSpec) -> tuple[BesselProductSpec, float, float]:

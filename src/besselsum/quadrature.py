@@ -61,25 +61,35 @@ def _require_integrable(spec: BesselProductSpec) -> None:
         raise InvalidSpec(f"integral does not exist: {reason}")
 
 
-def _panel_quad(fun, edges: np.ndarray, nodes: int) -> float:
-    """Fixed-order Gauss-Legendre on the panels between consecutive edges,
-    panel results reduced in ascending order."""
-    x, w = _GAUSS[nodes]
+def _panel_nodes(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, half-widths): the Gauss-Legendre points of the panels between
+    consecutive edges, panel by panel, and each panel's half-width."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = fun(ts).reshape(len(mid), nodes)
-    return math.fsum((vals * w[None, :]).sum(axis=1) * half)
+    return (mid[:, None] + half[:, None] * _GAUSS[nodes][0][None, :]).ravel(), half
 
 
-def _equal_panels(t_max, width: float) -> np.ndarray:
-    """Edges of equal panels of at most `width` over [0, t_max].  A bad
-    t_max raises ConfigError, and a grid of more than MAX_PANELS panels
-    SizeError, before anything is built."""
+def _panel_sum(vals: np.ndarray, half: np.ndarray, nodes: int) -> float:
+    """Gauss-Legendre value from the integrand at ``_panel_nodes``' points,
+    panel results reduced in ascending order."""
+    w = _GAUSS[nodes][1]
+    return math.fsum((vals.reshape(len(half), nodes) * w[None, :]).sum(axis=1) * half)
+
+
+def _panel_quad(fun, edges: np.ndarray, nodes: int) -> float:
+    """Fixed-order Gauss-Legendre of `fun` on the panels between consecutive edges."""
+    ts, half = _panel_nodes(edges, nodes)
+    return _panel_sum(fun(ts), half, nodes)
+
+
+def _equal_panels(t_max, scales) -> np.ndarray:
+    """Edges of equal panels over [0, t_max] of width at most pi/sum(scales).
+    A bad t_max raises ConfigError, and a grid of more than MAX_PANELS
+    panels SizeError, before anything is built."""
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ConfigError(f"t_max must be positive and finite, got {t_max}")
     t_max = float(t_max)
-    panels = t_max / width
+    panels = t_max / (math.pi / math.fsum(scales))
     if panels > MAX_PANELS:
         raise SizeError(
             f"t_max = {t_max:g} needs {panels:.4g} quadrature panels, "
@@ -131,7 +141,7 @@ def integrate(spec: BesselProductSpec, t_max: float) -> QuadratureResult:
     sum(a) > 2*pi are integrable as long as the t -> 0 limit exists and
     lam > -N/2 (strict form with a zero beat).
     """
-    edges = _equal_panels(t_max, math.pi / spec.sum_scales)
+    edges = _equal_panels(t_max, spec.scales)
     _require_integrable(spec)
     value, diff = _fine_coarse(lambda ts: identity.integrand_array(spec, ts), edges)
     tail, flagged = tail_bound(spec, float(t_max))
@@ -151,7 +161,7 @@ def integrate_power_product(nus, scales, lam: float, t_max: float) -> tuple[floa
     ``integrate``, which also checks t_max the same way.  Used by the
     odd-parity closure checks; the t -> 0 limit must exist.
     """
-    edges = _equal_panels(t_max, math.pi / math.fsum(scales))
+    edges = _equal_panels(t_max, scales)
     return _fine_coarse(lambda ts: identity.power_product_array(nus, scales, lam, ts), edges)
 
 

@@ -62,19 +62,21 @@ def _require_valid(spec: BesselProductSpec) -> identity.ValidityReport:
     return report
 
 
-def _terms(nus, scales, lam: float, m_max: int) -> np.ndarray:
-    """Summand terms for m = 1..m_max, computed in ascending 4096-blocks.
-
-    The one check of a term count: InvalidSpec unless it is a non-negative
-    integer, SizeError beyond MAX_TERMS.
-    """
+def _term_count(m_max) -> int:
+    """The one check of a term count: InvalidSpec unless it is a non-negative
+    integer, SizeError beyond MAX_TERMS; returned as a Python int."""
     if m_max > MAX_TERMS:
         raise SizeError(f"{m_max} terms requested, beyond the cap of {MAX_TERMS}")
     if not m_max >= 0:  # nan included
         raise InvalidSpec(f"terms must be non-negative, got {m_max}")
     if m_max != int(m_max):
         raise InvalidSpec(f"terms must be an integer, got {m_max}")
-    m_max = int(m_max)
+    return int(m_max)
+
+
+def _terms(nus, scales, lam: float, m_max: int) -> np.ndarray:
+    """Summand terms for m = 1..m_max, computed in ascending 4096-blocks."""
+    m_max = _term_count(m_max)
     out = np.empty(m_max)
     for lo in range(1, m_max + 1, BLOCK):
         hi = min(lo + BLOCK - 1, m_max)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from besselsum import cli, identity, quadrature, summation
+from besselsum import cli, identity, quadrature, specfun, summation
 from besselsum.cli import CliError, main, parse_number
 from besselsum.errors import ConfigError, InvalidSpec
 
@@ -403,6 +403,67 @@ class TestSweep:
         assert rc == 2
         assert "beyond the cap of" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("terms", [2.5, float("nan")])
+    def test_non_integer_terms_raise(self, terms):
+        # not a nan sum in every row
+        with pytest.raises(ConfigError, match="terms must be"):
+            cli.run_sweep(identity.make_spec(0, [0.5, 1.5], [PI / 16, 1.0]), 1, [1.0],
+                          terms=terms)
+
+    @staticmethod
+    def _public_values(spec, terms, t_max):
+        """The row's sum and quadrature value through the public calls, nan
+        where they raise InvalidSpec."""
+        try:
+            s = summation.sum_power_product(spec.nus, spec.scales, spec.lam, terms)
+        except InvalidSpec:
+            s = math.nan
+        try:
+            q = quadrature.integrate(spec, t_max).value
+        except InvalidSpec:
+            q = math.nan
+        return s.hex(), q.hex()
+
+    @pytest.mark.parametrize("nus,k,terms", [
+        ((0.5, 1.5), 0, 10),  # the paper's two-, three- and four-factor panels
+        ((0.0, 1.0, 2.0), 2, 10),
+        ((-1.5, -1.0, 0.5, 0.0), -1, 10),
+        ((0.0, 1.0, 2.0), 2, 5000),  # past one 4096-block
+        ((0.5, 1.5), -3, 10),  # the t -> 0 limit diverges: no sum, no integral
+        ((0.5, 1.5), 2, 10),  # sum(nu) <= 2k - N/2: a sum, but no integral
+    ])
+    def test_rows_equal_the_public_calls(self, nus, k, terms):
+        n_fixed = len(nus) - 1
+        for afix in (PI / 16, 3 * PI / 16, 5 * PI / 16):
+            template = identity.make_spec(k, nus, [afix] * n_fixed + [1.0])
+            b_star = 2 * PI - n_fixed * afix
+            bs = [b_star * f for f in (0.02, 0.4, 0.97, 1.0, 1.03, 1.4)]  # past b* too
+            table = cli.run_sweep(template, n_fixed, bs, terms=terms, t_max=10.0)
+            for b, row in zip(sorted(bs), table.rows):
+                spec = identity.make_spec(k, nus, [afix] * n_fixed + [b])
+                assert (row.sum_value.hex(), row.quad_value.hex()) == \
+                    self._public_values(spec, terms, 10.0), (afix, b)
+
+    def test_one_analysis_and_one_kernel_call_per_factor_per_row(self, monkeypatch):
+        calls = {"check_validity": 0, "jv_array": 0, "integrate": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(identity, "check_validity")
+        counted(specfun, "jv_array")
+        counted(quadrature, "integrate")
+        template = identity.make_spec(-1, [-1.5, -1.0, 0.5, 0.0], [3 * PI / 16] * 3 + [1.0])
+        row = cli.run_sweep(template, 3, [1.0], terms=10, t_max=10.0).rows[0]
+        assert math.isfinite(row.sum_value) and math.isfinite(row.quad_value)
+        assert calls == {"check_validity": 1, "jv_array": 4, "integrate": 0}
 
 
 class TestCompare:
