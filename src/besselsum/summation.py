@@ -1,11 +1,15 @@
 """Truncated evaluation of the discrete sum with a priori error bounds.
 
-The sum is accumulated in ascending m with compensated (exact fsum)
-accumulation, blocked at a fixed 4096 block size so a parallel evaluation
-with ascending-order reduction would be bitwise identical.  Conditionally
+The terms are accumulated in ascending m, in fixed blocks of 4096: each
+block's sum is correctly rounded, and ``math.fsum`` adds m0 and the block
+sums.  A full block is summed in numpy by a TwoSum tree whose result is
+verified to be the correctly rounded one; a block it cannot verify, and the
+ragged last block, go to ``math.fsum``.  A correctly rounded sum is unique,
+so the bits do not depend on which route a block took.  Conditionally
 convergent specs get series acceleration: iterated pairwise averaging of the
 partial sums, one averaging stage per aliased beat frequency of the scale
-set, which turns O(M^-p) oscillating tails into increments near roundoff.
+set.  Its error_bound is an estimate from the last averaging increments,
+not a proven bound: it can fall short of the true error.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .identity import BesselProductSpec, ConvergenceClass, envelope_constant
 
 #: fixed block size for deterministic blocked accumulation
 BLOCK = 4096
+#: full blocks summed together in numpy (16 x 4096 floats, 512 KiB)
+SLAB = 16
 #: cap on the terms of one partial sum (a 128 MiB term array)
 MAX_TERMS = 2**24
 
@@ -85,11 +91,81 @@ def _terms(nus, scales, lam: float, m_max: int) -> np.ndarray:
     return out
 
 
+def _slab_sums(rows: np.ndarray) -> list[float]:
+    """The correctly rounded sum of each row of a (blocks, BLOCK) slab.
+
+    A row is summed in numpy where the result can be verified and by
+    ``math.fsum`` otherwise; both give the one correctly rounded value, so
+    the bits are fsum's.  The rule, after Ogita, Rump & Oishi (SIAM J. Sci.
+    Comput. 26, 2005):
+
+    * A pairwise tree of TwoSums halves the row 12 times.  It yields the
+      rounded sum s1 and the 4095 exact rounding errors e, so the row sums
+      to exactly S = s1 + sum(e).  Their float sum is s2 and A is the float
+      sum of |e|.
+    * With u = 2^-53 and n = 4095, any order of float summation gives
+      |s2 - sum(e)| <= g sum|e| and A >= (1 - g) sum|e|, where
+      g = (n - 1) u / (1 - (n - 1) u) (Higham, Accuracy and Stability,
+      section 4.2; an addition that underflows is exact).  So
+      |s2 - sum(e)| <= g / (1 - g) A < 2^-41 A.  The code takes
+      r = 4096 eps A = 2^-40 A, twice that.  Scaling by 2^-40 is exact
+      unless it lands in the subnormal range, where it loses at most
+      2^-1075: the factor two still covers that while A >= 2^-1034, and
+      below, the e are multiples of 2^-1074 whose partial sums stay under
+      2^-1021, so s2 is exact.
+    * (hi, lo) = TwoSum(s1, s2) gives |S - hi| <= |lo| + r.  If
+      fl(|lo| + r) is below half the smaller gap next to hi, S lies
+      strictly nearer hi than any other float and rounds to hi.
+
+    Ties: an exact half-way S never passes the strict test, so ties (and
+    any S too close to call) go to ``math.fsum``, which rounds half to
+    even.  So does a zero or subnormal hi: half its smaller gap, 2^-1075,
+    rounds to 0, and fsum decides the sign of a zero.  A slab holding a
+    value of magnitude 2^1000 or more (inf and nan included) is summed by
+    ``math.fsum`` row by row, in order, so fsum raises its OverflowError
+    and ValueError at the block where it always has; below that bound no
+    partial sum of 4096 values, the tree's or fsum's, can overflow.
+    """
+    if not max(rows.max(), -rows.min()) < 2.0**1000:  # nan included
+        return [math.fsum(row) for row in rows]
+    s = rows
+    width = BLOCK // 2
+    err = np.zeros((len(rows), width))
+    abs_err = np.zeros_like(err)
+    while width:
+        a, b = s[:, :width], s[:, width:]
+        s = a + b
+        z = s - a
+        e = (a - (s - z)) + (b - z)
+        err[:, :width] += e
+        abs_err[:, :width] += np.abs(e)
+        width //= 2
+    s1, s2 = s[:, 0], err.sum(axis=1)
+    r = abs_err.sum(axis=1) * 2.0**-40
+    hi = s1 + s2
+    z = hi - s1
+    lo = (s1 - (hi - z)) + (s2 - z)
+    gap = np.minimum(np.nextafter(hi, np.inf) - hi, hi - np.nextafter(hi, -np.inf))
+    ok = np.abs(lo) + r < 0.5 * gap
+    return [h if k else math.fsum(row) for h, k, row in zip(hi.tolist(), ok.tolist(), rows)]
+
+
 def _blocked_sum(m0: float, vals: np.ndarray) -> float:
-    """m0 plus the terms, exact fsum within each 4096-block and across blocks."""
+    """m0 plus the terms: each 4096-block correctly rounded, then fsum across.
+
+    Full blocks go through ``_slab_sums`` a slab of SLAB blocks (512 KiB)
+    at a time, so the working set stays the same at any length.  The ragged
+    last block and the final sum across ``[m0] + block sums`` use
+    ``math.fsum``, so fewer than 4096 terms run fsum alone.
+    """
     if len(vals) == 0:
         return m0  # fsum([m0]) would turn -0.0 into 0.0
-    block_sums = [math.fsum(vals[lo : lo + BLOCK]) for lo in range(0, len(vals), BLOCK)]
+    full = len(vals) - len(vals) % BLOCK
+    block_sums = []
+    for lo in range(0, full, SLAB * BLOCK):
+        block_sums += _slab_sums(vals[lo : min(lo + SLAB * BLOCK, full)].reshape(-1, BLOCK))
+    if full < len(vals):
+        block_sums.append(math.fsum(vals[full:]))
     return math.fsum([m0] + block_sums)
 
 
@@ -206,7 +282,8 @@ def evaluate(
 
     Exactly one of ``terms`` (fixed truncation M) or ``tol`` (target error
     bound, M chosen by inverting the truncation bound, capped at ``m_max``)
-    must be given.  Specs with sum of scales beyond 2*pi are rescaled first
+    must be given; ``m_max`` must be a non-negative integer, and may exceed
+    MAX_TERMS, which caps the terms actually summed.  Specs with sum of scales beyond 2*pi are rescaled first
     and the result carries the prefactor A^(sum(nu)-1-2k).  Conditional-class
     specs are accelerated unless disabled or the averaged second half of the
     partial sums starts before a factor's turning point; the error bound is
@@ -216,6 +293,8 @@ def evaluate(
     """
     if (terms is None) == (tol is None):
         raise InvalidSpec("exactly one of terms= or tol= must be given")
+    if not (0 <= m_max < math.inf and m_max == int(m_max)):  # nan included
+        raise InvalidSpec(f"m_max must be a non-negative integer, got {m_max}")
     work, prefactor, A = identity.rescale(spec)
     report, aliased, c, q = _analyse(work)
     conditional = report.convergence_class is ConvergenceClass.CONDITIONAL

@@ -2,9 +2,19 @@ import math
 
 import pytest
 
-from besselsum import identity
+from besselsum import identity, summation
 
 PI = math.pi
+
+
+def per_block_fsum(m0: float, vals) -> float:
+    """The plain reference for the blocked sum: math.fsum within each
+    4096-block, then across m0 and the block sums (m0 alone when there are
+    no terms, as fsum([m0]) would turn -0.0 into 0.0)."""
+    blocks = [vals[lo : lo + summation.BLOCK] for lo in range(0, len(vals), summation.BLOCK)]
+    if not blocks:
+        return m0
+    return math.fsum([m0] + [math.fsum(block) for block in blocks])
 
 
 def corpus_specs():

@@ -4,12 +4,14 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import per_block_fsum
 from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.special import spherical_jn
 
-from besselsum import specfun, summation
+from besselsum import identity, specfun, summation
 from besselsum.errors import DivergentAtZero, DomainError
+from besselsum.identity import make_spec
 from besselsum.specfun import bessel_j, is_negative_integer, ive_array, small_argument_coeff
 
 mp.mp.dps = 30
@@ -241,6 +243,20 @@ def test_sum_kernel_against_scipy_terms(k, nus, scales):
     ref = math.fsum([m0, *terms])
     got = summation.sum_power_product(nus, scales, lam, M)
     assert abs(got - ref) <= 1e-14 * math.fsum(np.abs(terms))
+
+
+@pytest.mark.parametrize("terms", [4097, 65537])
+@pytest.mark.parametrize("k, nus, scales", DEEP_SHAPES)
+def test_evaluate_sums_blocks_as_per_block_fsum(k, nus, scales, terms):
+    # the wiring through evaluate: its plain partial sum is the per-block
+    # fsum of the same terms, bit for bit (acceleration off, which would
+    # replace the value of the conditional shapes)
+    spec = make_spec(k, nus, scales)
+    terms_1_to_m = identity.summand_terms(spec, np.arange(1, terms + 1))
+    ref = per_block_fsum(identity.summand(spec, 0), terms_1_to_m)
+    result = summation.evaluate(spec, terms=terms, accelerate=False)
+    assert not result.rescaled
+    assert result.value.hex() == ref.hex()
 
 
 def ive(nu: float, x: float) -> float:

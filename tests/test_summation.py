@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import per_block_fsum
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma, hyp2f1
 
 from besselsum import identity, summation
@@ -85,6 +88,97 @@ def test_term_count_must_be_a_non_negative_integer():
     with pytest.raises(InvalidSpec, match="terms must be non-negative, got -1"):
         summation.sum_power_product(spec.nus, spec.scales, spec.lam, -1)
     assert type(evaluate(spec, terms=np.int64(20)).terms_used) is int
+
+
+#: lengths around the block and slab boundaries
+BLOCKED_LENGTHS = [0, 1, 4095, 4096, 4097, summation.SLAB * summation.BLOCK + 1]
+
+
+def _outcome(fn, m0, vals) -> str:
+    """A sum's float hex, or the type and message of what it raised."""
+    try:
+        return fn(m0, vals).hex()
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _family(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    m = np.arange(1, n + 1, dtype=float)
+    if kind == "wide":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    if kind == "cancelling":  # adjacent pairs that cancel to within a few ulps
+        x = rng.standard_normal(n)
+        x[1::2] = -x[: n // 2 * 2 : 2] * (1.0 + rng.integers(-4, 5, n // 2) * 2.0**-52)
+        return x
+    if kind == "dyadic":  # exact sums a few bits too long: ties are common
+        return rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-60, 1, n)
+    if kind == "alternating":
+        return (-1.0) ** m * m**-0.5 * rng.uniform(0.5, 2.0)
+    if kind == "subnormal":
+        return rng.integers(-(2**20), 2**20, n) * 5e-324
+    return rng.choice([0.0, -0.0], n)  # "zeros"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(BLOCKED_LENGTHS),
+    st.sampled_from(["wide", "cancelling", "dyadic", "alternating", "subnormal", "zeros"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(allow_subnormal=True) | st.sampled_from([0.0, -0.0]),
+    st.lists(st.tuples(st.integers(0, 2**20), st.floats(allow_subnormal=True)), max_size=4),
+)
+def test_blocked_sum_is_per_block_fsum_bit_for_bit(n, kind, seed, m0, planted):
+    # nan and +-inf are planted through st.floats; hex or exception must match,
+    # for the whole sum and for each full block alone (the sum across blocks
+    # can round a last-bit difference of one block away)
+    vals = _family(kind, n, np.random.default_rng(seed))
+    for pos, x in planted:
+        if n:
+            vals[pos % n] = x
+    assert _outcome(summation._blocked_sum, m0, vals) == _outcome(per_block_fsum, m0, vals)
+    for lo in range(0, n - summation.BLOCK + 1, summation.BLOCK):
+        block = vals[lo : lo + summation.BLOCK]
+        assert _outcome(summation._blocked_sum, 0.0, block) == _outcome(per_block_fsum, 0.0, block)
+
+
+TWO_SLABS = 2 * summation.SLAB * summation.BLOCK + 7
+EDGE_BLOCKS = {
+    "tie_to_even_down": {0: 1.5, 1: 2.0**-53, 2: 2.0**-80, 3: -(2.0**-80)},
+    "tie_to_even_up": {0: 1.0 + 2.0**-51, 1: 2.0**-53},
+    "below_a_power_of_two": {0: 1.0, 1: -(2.0**-54) - 2.0**-60},
+    "plus_zero": {0: 1.0, 2048: -1.0},
+    "minus_zero": {k: -0.0 for k in range(4096)},
+    "subnormal": {0: 5e-324, 1: 5e-324, 2048: 2.0**-1022},
+    "inf": {7: math.inf},
+    "inf_minus_inf": {7: math.inf, 9: -math.inf},
+    "nan": {7: math.nan},
+    "partial_sums_overflow": {0: 1e308, 1: 1e308, 2: -1e308},
+    # the tree pairs 0 with 2048 and stays finite; fsum's running sum does not
+    "only_fsum_overflows": {0: 1e308, 1: 1e308, 2048: -1e308, 2049: -1e308, 5: 1.0},
+    # s1 = 1 and s2 = -2^-54 (the -2^-110 error is rounded away) meet on the
+    # midpoint below 1, the narrow side of a power of two; the exact sum is
+    # just past it and rounds to 1 - 2^-53
+    "s2_rounds_onto_the_half_gap": {0: 1.0, 2048: -(2.0**-54), 1: -(2.0**-110)},
+    # four errors of -0.75 * 2^-108 vanish one by one into s2, which stays
+    # inside the half gap while the exact sum passes it: only r catches this
+    "s2_rounds_inside_the_half_gap": {
+        0: 1.0,
+        2048: -(2.0**-54 - 2.0**-107),
+        **{k: -0.75 * 2.0**-108 for k in (1024, 512, 256, 128)},
+    },
+}
+
+
+@pytest.mark.parametrize("offset", [0, summation.SLAB * summation.BLOCK])
+@pytest.mark.parametrize("name", sorted(EDGE_BLOCKS))
+def test_blocked_sum_edge_blocks(name, offset):
+    # each edge case in a block of its own, in the first and the second slab;
+    # every other term is 0 and m0 = 0, so the block's sum passes to the
+    # result unrounded
+    vals = np.zeros(TWO_SLABS)
+    for pos, x in EDGE_BLOCKS[name].items():
+        vals[offset + pos] = x
+    assert _outcome(summation._blocked_sum, 0.0, vals) == _outcome(per_block_fsum, 0.0, vals)
 
 
 class TestTruncationBound:
@@ -270,6 +364,28 @@ def test_term_count_beyond_the_cap_is_a_size_error(terms):
         summation.sum_power_product((0.5,), (1.0,), 0.5, terms)
     with pytest.raises(SizeError, match=msg):
         sum_truncated(spec, terms)
+
+
+@pytest.mark.parametrize("m_max", [math.nan, -5, 2.5, math.inf])
+@pytest.mark.parametrize(
+    "spec",
+    [make_spec(0, [0.5], [1.0]), make_spec(0, [0.5, 1.5], [0.5, 1.0])],
+    ids=["conditional", "absolute"],
+)
+def test_m_max_must_be_a_non_negative_integer(spec, m_max):
+    # checked once, first: nan no longer lifts the cap, and -5 no longer reads
+    # as a bad term count (conditional) or an unreachable tolerance (absolute)
+    msg = re.escape(f"m_max must be a non-negative integer, got {m_max}")
+    with pytest.raises(InvalidSpec, match=msg):
+        evaluate(spec, tol=1e-6, m_max=m_max)
+    with pytest.raises(InvalidSpec, match=msg):
+        evaluate(spec, terms=100, m_max=m_max)
+
+
+def test_m_max_beyond_the_term_cap_is_allowed():
+    # the cap applies to the terms summed, not to the ceiling on them
+    spec = make_spec(0, [0.5, 1.5], [0.5, 1.0])
+    assert evaluate(spec, tol=1e-6, m_max=2**40) == evaluate(spec, tol=1e-6)
 
 
 class TestAcceleration:
